@@ -453,8 +453,6 @@ vl::Json MeasureLint(vlbench::BenchEnv& env) {
 // sweeps. Every sweep must reconcile with Target::clock() and stay clean.
 vl::Json MeasureCheck(vlbench::BenchEnv& env) {
   dbg::KernelDebugger full(env.kernel.get(), dbg::LatencyModel::GdbQemu());
-  // Constructed second: the delta session's dirty-page journal baselines at
-  // construction, and it must cover `full`'s in-arena bookkeeping writes.
   dbg::KernelDebugger delta(env.kernel.get(), dbg::LatencyModel::GdbQemu(),
                             dbg::CacheConfig::Incremental());
   vision::RegisterFigureSymbols(&full, env.workload.get());

@@ -160,7 +160,7 @@ uint64_t KernelDebugger::ArenaMemory::generation() const {
 }
 
 DirtyPageInfo KernelDebugger::ArenaMemory::DirtyPagesSince(uint64_t since_generation) const {
-  uint64_t hashed_before = journal_ != nullptr ? journal_->pages_hashed() : 0;
+  uint64_t scanned_before = journal_ != nullptr ? journal_->pages_scanned() : 0;
   if (journal_ == nullptr) {
     // Lazily baseline at the current generation: every page starts marked
     // dirty at this epoch, so a first query over an older epoch safely
@@ -173,7 +173,7 @@ DirtyPageInfo KernelDebugger::ArenaMemory::DirtyPagesSince(uint64_t since_genera
   info.supported = true;
   info.page_size = vkern::kPageSize;
   info.pages_total = journal_->page_count();
-  info.pages_scanned = journal_->pages_hashed() - hashed_before;
+  info.pages_scanned = journal_->pages_scanned() - scanned_before;
   info.dirty_pages.reserve(pages.size());
   for (uint32_t p : pages) {
     info.dirty_pages.push_back(arena_->base_addr() + uint64_t{p} * vkern::kPageSize);
@@ -187,12 +187,12 @@ KernelDebugger::KernelDebugger(vkern::Kernel* kernel, LatencyModel model,
   target_ = std::make_unique<Target>(&memory_, std::move(model));
   RegisterTypes();
   RegisterEnums();
-  // BuildStateStringTable writes the arena (AllocMeta) without a generation
-  // bump, so it must run before the session exists: a delta-enabled session
-  // baselines its dirty-page journal at construction, and any arena write
-  // after that baseline would surface as a spuriously dirty page at the
-  // first epoch sync.
+  // BuildStateStringTable writes the arena (AllocMeta). The bump makes
+  // sessions already attached to this kernel (other debuggers') drop the
+  // blocks, memo and results covering those pages; it precedes this
+  // debugger's own session, which baselines at the new generation.
   BuildStateStringTable();
+  kernel_->BumpGeneration();
   session_ = std::make_unique<ReadSession>(target_.get(), cache);
   RegisterSymbols();
   RegisterHelpers();

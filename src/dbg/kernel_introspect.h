@@ -59,7 +59,8 @@ class KernelDebugger {
     // sessions invalidate when this moves.
     uint64_t generation() const override;
     // Dirty-page log over the arena, backed by a lazily built PageJournal so
-    // sessions that never query it pay no hashing cost.
+    // sessions that never query it never arm write tracking (and the
+    // kernel's writes never fault).
     DirtyPageInfo DirtyPagesSince(uint64_t since_generation) const override;
 
    private:

@@ -35,7 +35,8 @@ struct DirtyPageInfo {
   bool supported = false;      // domain has no dirty log → treat all as dirty
   uint64_t page_size = 0;      // dirty granule in bytes
   uint64_t pages_total = 0;    // pages in the tracked region
-  uint64_t pages_scanned = 0;  // pages the domain hashed to answer (host work)
+  uint64_t pages_scanned = 0;  // pages the domain's dirty-log syncs examined to
+                               // answer (host work; pages_total per sync)
   std::vector<uint64_t> dirty_pages;  // base addresses of dirty pages
 };
 
@@ -141,7 +142,7 @@ class Target {
   // Accumulated dirty-log accounting for this target.
   struct DirtyStats {
     uint64_t queries = 0;
-    uint64_t pages_scanned = 0;  // host-side pages hashed by the domain
+    uint64_t pages_scanned = 0;  // host-side pages examined by dirty-log syncs
     uint64_t pages_dirty = 0;    // dirty pages reported across all queries
     uint64_t charged_ns = 0;     // transport ns charged for the queries
 

@@ -1,15 +1,18 @@
-// Page-hash journal over an Arena: the dirty-page log primitive behind
+// Write-protect journal over an Arena: the dirty-page log primitive behind
 // incremental refresh (docs/caching.md#incremental-invalidation).
 //
-// QEMU's live-migration dirty log flags guest pages written since the last
-// sync; debuggers can query it instead of re-reading everything. The
-// simulated kernel has no write interception, so we model the same contract
-// with lazy per-page checksums: a scan hashes every 4 KiB page at most once
-// per generation and stamps pages whose hash moved with the scanning
-// generation. Writes that landed between two scans are attributed to the
-// later scan's generation — conservative (a page is never reported clean
-// while holding unseen writes), which is exactly what cache invalidation
-// and memoization need.
+// QEMU's live-migration dirty log (KVM_GET_DIRTY_LOG) flags guest pages
+// written since the last sync by write-protecting them: the first write to a
+// page traps, marks it and re-enables writes. A journal arms the same
+// tracking on its arena (vkern::Arena's write-protect dirty log); on each
+// generation change it syncs the arena, which write-protects only the pages
+// written since the previous sync, and stamps those pages with the syncing
+// generation. The cost of a sync therefore scales with the pages written,
+// and each first write to a page pays one fault. Writes that landed between
+// two syncs are attributed to the later sync's generation — conservative (a
+// page is never reported clean while holding unseen writes), which is
+// exactly what cache invalidation and memoization need. Several journals may
+// track one arena; the last one destroyed disarms it.
 
 #ifndef SRC_VKERN_PAGE_JOURNAL_H_
 #define SRC_VKERN_PAGE_JOURNAL_H_
@@ -24,7 +27,7 @@ namespace vkern {
 
 class PageJournal {
  public:
-  // Baselines every page's hash at `generation`. Every page starts marked
+  // Arms write tracking on `arena` at `generation`. Every page starts marked
   // "changed at `generation`", so a first query against an older epoch
   // degenerates to all-dirty (safe) rather than all-clean (wrong).
   PageJournal(const Arena* arena, uint64_t generation);
@@ -32,34 +35,33 @@ class PageJournal {
   PageJournal(const PageJournal&) = delete;
   PageJournal& operator=(const PageJournal&) = delete;
 
-  // Indices of pages whose content changed after `since_generation`
-  // (page base = arena base + index * kPageSize; the arena base itself need
-  // not be host-page-aligned, pages are arena-relative). Lazily rescans when
-  // `current_generation` differs from the last scanned generation, so
-  // repeated queries within one generation are free.
+  // Indices of pages written after `since_generation` (page base = arena
+  // base + index * kPageSize). Syncs the arena when `current_generation`
+  // differs from the last synced generation, so repeated queries within one
+  // generation are free.
   std::vector<uint32_t> DirtyPagesSince(uint64_t since_generation,
                                         uint64_t current_generation);
 
   size_t page_count() const { return last_changed_.size(); }
-  // Generation the page hashes are current for.
+  // Generation of the last sync.
   uint64_t scanned_generation() const { return scanned_gen_; }
-  // Generation at which `page` was last seen to change (the baseline
-  // generation if it never changed under this journal).
+  // Generation at which `page` was last seen written (the baseline
+  // generation if it never was under this journal).
   uint64_t last_changed(size_t page) const { return last_changed_[page]; }
 
-  // Host-side scan work: full-arena scans run and pages hashed in total.
+  // Host-side work: syncs run (arming counts as one) and pages examined in
+  // total (page_count() per sync).
   uint64_t scans() const { return scans_; }
-  uint64_t pages_hashed() const { return pages_hashed_; }
+  uint64_t pages_scanned() const { return pages_scanned_; }
 
  private:
-  void Rescan(uint64_t current_generation);
+  void Sync(uint64_t current_generation);
 
-  const Arena* arena_;
+  Arena::WriteTracking tracking_;
   uint64_t scanned_gen_;
-  std::vector<uint64_t> hashes_;        // per-page content hash
   std::vector<uint64_t> last_changed_;  // per-page last-changed generation
-  uint64_t scans_ = 0;
-  uint64_t pages_hashed_ = 0;
+  uint64_t scans_ = 1;
+  uint64_t pages_scanned_;
 };
 
 }  // namespace vkern

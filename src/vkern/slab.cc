@@ -145,11 +145,14 @@ void* SlabAllocator::Alloc(kmem_cache* cache) {
   cache->active_objects++;
   std::memset(obj, 0, cache->size);
 
-  list_del_init(&sl->list);
-  if (sl->inuse == cache->num) {
-    list_add_tail(&sl->list, &cache->slabs_full);
-  } else {
-    list_add_tail(&sl->list, &cache->slabs_partial);
+  // Relink only when the slab changes lists (free -> partial, -> full): a
+  // partial slab keeps serving from the list head until it fills, as in
+  // Linux, instead of rotating on every allocation and rewriting its
+  // neighbours' list links (and so dirtying their pages).
+  if (sl->inuse == 1 || sl->inuse == cache->num) {
+    list_del_init(&sl->list);
+    list_add_tail(&sl->list, sl->inuse == cache->num ? &cache->slabs_full
+                                                      : &cache->slabs_partial);
   }
   return obj;
 }
@@ -169,11 +172,10 @@ void SlabAllocator::Free(kmem_cache* cache, void* obj) {
   sl->inuse--;
   cache->active_objects--;
 
-  list_del_init(&sl->list);
-  if (sl->inuse == 0) {
-    list_add_tail(&sl->list, &cache->slabs_free);
-  } else {
-    list_add_tail(&sl->list, &cache->slabs_partial);
+  // As in Alloc: relink only on a list change (full -> partial, -> free).
+  if (sl->inuse == 0 || sl->inuse + 1 == cache->num) {
+    list_del_init(&sl->list);
+    list_add_tail(&sl->list, sl->inuse == 0 ? &cache->slabs_free : &cache->slabs_partial);
   }
 }
 

@@ -1,15 +1,17 @@
-// Incremental refresh correctness: the dirty-page journal over the arena,
-// Target's charged dirty-log queries, ReadSession delta invalidation (with
-// the all-dirty fallback), dirty-aware prefetch, viewcl memo replay, the
-// pane render-digest cache — and the end-to-end contract that incremental
-// refreshes render byte-identically to cold-cache extractions for every
-// figure, across epoch skew.
+// Incremental refresh correctness: the write-protect dirty-page journal over
+// the arena, Target's charged dirty-log queries, ReadSession delta
+// invalidation (with the all-dirty fallback), dirty-aware prefetch, viewcl
+// memo replay, the pane render-digest cache — and the end-to-end contract
+// that incremental refreshes render byte-identically to cold-cache
+// extractions for every figure, across epoch skew.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/dbg/kernel_introspect.h"
@@ -29,7 +31,7 @@ namespace {
 
 constexpr uint64_t kPage = 4096;
 
-// --- the page-hash journal over the kernel arena ----------------------------
+// --- the write-protect journal over the kernel arena ------------------------
 
 TEST(PageJournalTest, CleanAtAttachDirtyAfterMutation) {
   vkern::Kernel kernel;
@@ -54,7 +56,7 @@ TEST(PageJournalTest, RescansLazilyOncePerGeneration) {
   vkern::PageJournal journal(&kernel.arena(), kernel.generation());
   uint64_t scans_after_attach = journal.scans();
 
-  // Same generation: answers come from the existing hashes, no rescan.
+  // Same generation: answers come from the last sync, no resync.
   (void)journal.DirtyPagesSince(0, kernel.generation());
   (void)journal.DirtyPagesSince(0, kernel.generation());
   EXPECT_EQ(journal.scans(), scans_after_attach);
@@ -65,6 +67,151 @@ TEST(PageJournalTest, RescansLazilyOncePerGeneration) {
   EXPECT_EQ(journal.scans(), scans_after_attach + 1);
   (void)journal.DirtyPagesSince(attach_gen, kernel.generation());
   EXPECT_EQ(journal.scans(), scans_after_attach + 1);
+}
+
+TEST(PageJournalTest, TwoJournalsOnOneArenaBothSeeAWrite) {
+  vkern::Arena arena(16 * kPage);
+  vkern::PageJournal first(&arena, 1);
+  vkern::PageJournal second(&arena, 1);
+  arena.base()[5 * kPage + 7] = 1;
+  // The first sync re-protects the page; the second journal still sees it.
+  EXPECT_EQ(first.DirtyPagesSince(1, 2), std::vector<uint32_t>{5});
+  EXPECT_EQ(second.DirtyPagesSince(1, 2), std::vector<uint32_t>{5});
+  arena.base()[9 * kPage] = 1;
+  EXPECT_EQ(second.DirtyPagesSince(2, 3), std::vector<uint32_t>{9});
+  EXPECT_EQ(first.DirtyPagesSince(2, 3), std::vector<uint32_t>{9});
+}
+
+TEST(PageJournalTest, WriteAfterSyncIsReportedAtNextGeneration) {
+  vkern::Arena arena(16 * kPage);
+  vkern::PageJournal journal(&arena, 1);
+  EXPECT_TRUE(journal.DirtyPagesSince(1, 2).empty());
+  arena.base()[3 * kPage] = 1;  // same generation, after its sync
+  EXPECT_TRUE(journal.DirtyPagesSince(1, 2).empty()) << "no resync within a generation";
+  EXPECT_EQ(journal.DirtyPagesSince(2, 3), std::vector<uint32_t>{3});
+  EXPECT_EQ(journal.last_changed(3), 3u);
+}
+
+TEST(PageJournalTest, QuietGenerationReprotectsNothing) {
+  vkern::Arena arena(16 * kPage);
+  vkern::PageJournal journal(&arena, 1);
+  arena.base()[0] = 1;
+  ASSERT_EQ(journal.DirtyPagesSince(1, 2), std::vector<uint32_t>{0});
+  uint64_t reprotected = arena.pages_reprotected();
+  EXPECT_EQ(reprotected, 1u);
+  EXPECT_TRUE(journal.DirtyPagesSince(2, 3).empty());
+  EXPECT_EQ(arena.pages_reprotected(), reprotected);
+  EXPECT_EQ(journal.scans(), 3u);
+  EXPECT_EQ(journal.pages_scanned(), 3 * journal.page_count());
+}
+
+TEST(PageJournalTest, MemcpySpanningTwoPagesDirtiesBoth) {
+  vkern::Arena arena(16 * kPage);
+  vkern::PageJournal journal(&arena, 1);
+  std::vector<uint8_t> bytes(64, 0xAB);
+  std::memcpy(arena.base() + 6 * kPage - 32, bytes.data(), bytes.size());
+  EXPECT_EQ(journal.DirtyPagesSince(1, 2), (std::vector<uint32_t>{5, 6}));
+}
+
+TEST(PageJournalTest, EveryOtherPageOfAFullSizeArenaIsReportedExactly) {
+  constexpr size_t kBytes = 96ull << 20;
+  vkern::Arena arena(kBytes);
+  vkern::PageJournal journal(&arena, 1);
+  std::vector<uint32_t> written;
+  for (uint32_t p = 0; p < kBytes / kPage; p += 2) {
+    arena.base()[p * kPage + 100] = 1;
+    written.push_back(p);
+  }
+  EXPECT_EQ(journal.DirtyPagesSince(1, 2), written);
+  EXPECT_EQ(arena.pages_reprotected(), written.size());
+  // Every page is protected again: the next write is caught.
+  arena.base()[2 * kPage] = 2;
+  EXPECT_EQ(journal.DirtyPagesSince(2, 3), std::vector<uint32_t>{2});
+}
+
+TEST(PageJournalTest, LastJournalDisarmsTheArena) {
+  vkern::Arena arena(16 * kPage);
+  EXPECT_FALSE(arena.write_tracking_armed());
+  {
+    vkern::PageJournal first(&arena, 1);
+    { vkern::PageJournal second(&arena, 1); }
+    EXPECT_TRUE(arena.write_tracking_armed()) << "one journal still tracks";
+    arena.base()[kPage] = 1;
+    EXPECT_EQ(first.DirtyPagesSince(1, 2), std::vector<uint32_t>{1});
+  }
+  EXPECT_FALSE(arena.write_tracking_armed());
+  arena.base()[2 * kPage] = 1;  // writable without tracking
+
+  // Re-arming starts a clean log: earlier writes are not reported.
+  vkern::PageJournal again(&arena, 5);
+  arena.base()[3 * kPage] = 1;
+  EXPECT_EQ(again.DirtyPagesSince(5, 6), std::vector<uint32_t>{3});
+}
+
+// Debuggers (and their journals) may be torn down after the kernel.
+TEST(PageJournalTest, JournalMayOutliveItsArena) {
+  auto arena = std::make_unique<vkern::Arena>(16 * kPage);
+  auto journal = std::make_unique<vkern::PageJournal>(arena.get(), 1);
+  arena->base()[0] = 1;
+  arena.reset();
+  journal.reset();
+  vkern::Arena next(16 * kPage);  // the registry slot is free again
+  vkern::PageJournal tracker(&next, 1);
+  next.base()[kPage] = 1;
+  EXPECT_EQ(tracker.DirtyPagesSince(1, 2), std::vector<uint32_t>{1});
+}
+
+TEST(PageJournalDeathTest, WildWriteOutsideTheArenaStillCrashes) {
+  vkern::Arena arena(16 * kPage);
+  vkern::PageJournal journal(&arena, 1);  // installs the fault handler
+  void* page = mmap(nullptr, kPage, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  EXPECT_DEATH(*static_cast<volatile uint8_t*>(page) = 1, "");
+  munmap(page, kPage);
+}
+
+TEST(PageJournalTest, BuddyPoolPageIsOneJournalPage) {
+  vkern::Kernel kernel;
+  const vkern::Arena& arena = kernel.arena();
+  EXPECT_EQ(arena.base_addr() % kPage, 0u);
+  vkern::page* pg = kernel.buddy().AllocPages(0);
+  ASSERT_NE(pg, nullptr);
+  auto* mem = static_cast<uint8_t*>(kernel.buddy().PageAddress(pg));
+
+  vkern::PageJournal journal(&arena, kernel.generation());
+  std::memset(mem, 0x5A, kPage);
+  std::vector<uint32_t> dirty =
+      journal.DirtyPagesSince(kernel.generation(), kernel.generation() + 1);
+  ASSERT_EQ(dirty.size(), 1u);
+  EXPECT_EQ(arena.base_addr() + dirty[0] * kPage, reinterpret_cast<uint64_t>(mem));
+}
+
+// Soundness against a shadow copy: every page whose bytes changed across a
+// workload step is reported. (Pages rewritten with identical bytes may be
+// reported too; that is conservative.)
+class PageJournalKernelTest : public vltest::WorkloadKernelTest {};
+
+TEST_F(PageJournalKernelTest, ReportsEveryChangedPageAcrossWorkloadSteps) {
+  const vkern::Arena& arena = kernel_->arena();
+  vkern::PageJournal journal(&arena, kernel_->generation());
+  std::vector<uint8_t> shadow(arena.base(), arena.base() + arena.size());
+  for (int step = 0; step < 3; ++step) {
+    uint64_t since = kernel_->generation();
+    workload_->Step();
+    std::vector<uint32_t> dirty = journal.DirtyPagesSince(since, kernel_->generation());
+    std::set<uint32_t> reported(dirty.begin(), dirty.end());
+    size_t changed = 0;
+    for (uint32_t p = 0; p < journal.page_count(); ++p) {
+      const uint8_t* now = arena.base() + p * kPage;
+      if (std::memcmp(now, shadow.data() + p * kPage, kPage) != 0) {
+        ++changed;
+        EXPECT_EQ(reported.count(p), 1u) << "page " << p << " changed unreported, step " << step;
+        std::memcpy(shadow.data() + p * kPage, now, kPage);
+      }
+    }
+    EXPECT_GT(changed, 0u) << "step " << step;
+    EXPECT_LT(dirty.size(), journal.page_count() / 10) << "step " << step;
+  }
 }
 
 // --- a flat memory domain with an exact dirty log ---------------------------
@@ -343,6 +490,50 @@ TEST_F(IncrementalKernelTest, IncrementalRendersMatchColdCacheForAllFigures) {
   EXPECT_GT(incremental.session().cache_stats().delta_invalidations, 0u);
   EXPECT_EQ(incremental.session().cache_stats().invalidations, 0u)
       << "a workload step dirties a small fraction of the arena";
+}
+
+// Attaching a debugger writes its task-state strings into the arena; the
+// attach bumps the generation, so a session already attached drops the
+// blocks, memo and results covering them instead of serving stale bytes.
+TEST_F(IncrementalKernelTest, AttachingAnotherDebuggerInvalidatesTheFirst) {
+  KernelDebugger first(kernel_.get(), LatencyModel::Free(), CacheConfig::Incremental());
+  vision::RegisterFigureSymbols(&first, workload_.get());
+  const vision::FigureDef* figure = vision::FindFigure("fig3_4");
+  ASSERT_NE(figure, nullptr);
+  viewcl::Interpreter interp(&first);
+  ASSERT_TRUE(interp.Load(figure->viewcl).ok());
+  ASSERT_TRUE(interp.Run().ok());
+
+  // Cache the bytes after `first`'s state strings, where the next
+  // attachment's strings land.
+  auto first_state = first.Eval("task_state(&init_task)");
+  ASSERT_TRUE(first_state.ok());
+  std::vector<uint8_t> bytes(256);
+  ASSERT_TRUE(first.session().ReadBytes(first_state->bits(), bytes.data(), bytes.size()).ok());
+
+  uint64_t generation = kernel_->generation();
+  KernelDebugger second(kernel_.get(), LatencyModel::Free(), CacheConfig::Disabled());
+  vision::RegisterFigureSymbols(&second, workload_.get());
+  EXPECT_GT(kernel_->generation(), generation);
+
+  auto second_state = second.Eval("task_state(&init_task)");
+  ASSERT_TRUE(second_state.ok());
+  auto seen_by_first = first.session().ReadCString(second_state->bits());
+  auto seen_by_second = second.session().ReadCString(second_state->bits());
+  ASSERT_TRUE(seen_by_first.ok());
+  ASSERT_TRUE(seen_by_second.ok());
+  EXPECT_EQ(*seen_by_first, *seen_by_second);
+  EXPECT_FALSE(seen_by_second->empty());
+
+  auto refreshed = interp.Run();
+  ASSERT_TRUE(refreshed.ok());
+  KernelDebugger reference(kernel_.get(), LatencyModel::Free(), CacheConfig::Disabled());
+  vision::RegisterFigureSymbols(&reference, workload_.get());
+  viewcl::Interpreter reference_interp(&reference);
+  auto reference_graph = reference_interp.RunProgram(figure->viewcl);
+  ASSERT_TRUE(reference_graph.ok());
+  vision::AsciiRenderer renderer;
+  EXPECT_EQ(renderer.Render(**refreshed), renderer.Render(**reference_graph));
 }
 
 TEST_F(IncrementalKernelTest, MemoReplaysCleanSubtreesOnRefresh) {
