@@ -45,7 +45,9 @@ vl::Json CacheStats::ToJson() const {
   j["delta_invalidations"] = vl::Json::Int(static_cast<int64_t>(delta_invalidations));
   j["invalidated_bytes_full"] = vl::Json::Int(static_cast<int64_t>(invalidated_bytes_full));
   j["invalidated_bytes_delta"] = vl::Json::Int(static_cast<int64_t>(invalidated_bytes_delta));
-  j["delta_prefetches"] = vl::Json::Int(static_cast<int64_t>(delta_prefetches));
+  j["refill_batches"] = vl::Json::Int(static_cast<int64_t>(refill_batches));
+  j["refill_blocks"] = vl::Json::Int(static_cast<int64_t>(refill_blocks));
+  j["refill_used_blocks"] = vl::Json::Int(static_cast<int64_t>(refill_used_blocks));
   j["vector_batches"] = vl::Json::Int(static_cast<int64_t>(vector_batches));
   j["vector_blocks"] = vl::Json::Int(static_cast<int64_t>(vector_blocks));
   return j;
@@ -69,7 +71,6 @@ void ReadSession::Reconfigure(CacheConfig config) {
   blocks_.clear();
   lru_.clear();
   page_last_dirty_.clear();
-  prefetched_.clear();
   dirty_floor_ = epoch_;
   if (delta_enabled()) {
     // Prime the domain's dirty log (QEMU: enabling dirty logging at attach).
@@ -136,16 +137,17 @@ void ReadSession::ApplyDirtyInfo(const DirtyPageInfo& info, uint64_t now) {
                            static_cast<double>(info.pages_total)
                      : 1.0;
   if (ratio > config_.max_dirty_ratio) {
-    // Too much moved: block-wise eviction would walk most of the cache for
-    // nothing. One flush is cheaper and just as correct.
+    // Too much moved: a block-wise refresh would re-fetch most of the
+    // cache. One flush is cheaper and just as correct.
     FullInvalidate();
     return;
   }
   stats_.delta_invalidations++;
-  if (blocks_.empty()) {
-    return;
-  }
-  size_t dropped = 0;
+  // Refresh, don't evict: drop the cached blocks on dirty pages, then
+  // re-fetch exactly those in one vectored batch, so consumers find them warm
+  // instead of faulting each back in its own round trip. Blocks that were not
+  // cached stay uncached.
+  std::vector<uint64_t> stale;
   for (uint64_t page : info.dirty_pages) {
     uint64_t first_block = (page >> block_shift_) << block_shift_;
     for (uint64_t base = first_block; base < page + page_size; base += config_.block_bytes) {
@@ -155,14 +157,24 @@ void ReadSession::ApplyDirtyInfo(const DirtyPageInfo& info, uint64_t now) {
       }
       lru_.erase(it->second.lru_it);
       blocks_.erase(it);
-      ++dropped;
+      stale.push_back(base);
     }
   }
-  uint64_t bytes = static_cast<uint64_t>(dropped) * config_.block_bytes;
+  if (stale.empty()) {
+    return;
+  }
+  uint64_t bytes = static_cast<uint64_t>(stale.size()) * config_.block_bytes;
   stats_.invalidated_bytes_delta += bytes;
-  if (dropped != 0 && trace_flag_->load(std::memory_order_relaxed)) {
+  if (trace_flag_->load(std::memory_order_relaxed)) {
     vl::MetricsRegistry::Instance().GetCounter("cache.invalidate.delta")->Add(bytes);
   }
+  size_t refilled = FillBlocks(stale, nullptr, /*refill=*/true);
+  stats_.refill_batches++;
+  stats_.refill_blocks += refilled;
+  // Once per stop, so unconditional like the read.vector.* family.
+  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
+  metrics.GetCounter("cache.refill.batches")->Add();
+  metrics.GetCounter("cache.refill.blocks")->Add(refilled);
 }
 
 uint64_t ReadSession::SyncEpoch() {
@@ -225,6 +237,7 @@ const ReadSession::Block* ReadSession::LookupOrFetch(uint64_t base, bool* hit) {
   if (it != blocks_.end()) {
     *hit = true;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front
+    NoteUse(&it->second);
     return &it->second;
   }
   *hit = false;
@@ -347,17 +360,12 @@ vl::StatusOr<std::string> ReadSession::ReadCString(uint64_t addr, size_t max_len
   return out;
 }
 
-void ReadSession::Prefetch(uint64_t addr, size_t len) {
-  if (!cache_enabled() || len == 0) {
+void ReadSession::PrefetchObject(uint64_t addr, const Type* type) {
+  if (type == nullptr || type->size == 0) {
     return;
   }
-  CheckEpoch();
-  uint64_t base = (addr >> block_shift_) << block_shift_;
-  uint64_t end = addr + len;
-  for (uint64_t b = base; b < end; b += config_.block_bytes) {
-    bool hit = false;
-    (void)LookupOrFetch(b, &hit);  // best effort; failures fall back at read
-  }
+  stats_.prefetches++;
+  (void)FetchSpans({Span{addr, type->size}}, nullptr);  // best effort
 }
 
 ReadSession::SpanFetch ReadSession::FetchSpans(
@@ -386,6 +394,7 @@ ReadSession::SpanFetch ReadSession::FetchSpans(
       if (it != blocks_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
         if (snapshot != nullptr) {
+          NoteUse(&it->second);
           (*snapshot)[b] = it->second.bytes;
         }
         continue;
@@ -393,24 +402,31 @@ ReadSession::SpanFetch ReadSession::FetchSpans(
       missing.push_back(b);
     }
   }
-  if (missing.empty()) {
-    return out;
+  if (!missing.empty()) {
+    out.batches = 1;
+    out.fetched_blocks = FillBlocks(missing, snapshot, /*refill=*/false);
   }
-  // One vectored transport request for every missing block.
-  std::vector<std::vector<uint8_t>> buffers(missing.size());
-  std::vector<ReadSpan> batch(missing.size());
-  for (size_t i = 0; i < missing.size(); ++i) {
+  return out;
+}
+
+size_t ReadSession::FillBlocks(const std::vector<uint64_t>& bases,
+                               std::unordered_map<uint64_t, std::vector<uint8_t>>* snapshot,
+                               bool refill) {
+  // One vectored transport request for every block.
+  std::vector<std::vector<uint8_t>> buffers(bases.size());
+  std::vector<ReadSpan> batch(bases.size());
+  for (size_t i = 0; i < bases.size(); ++i) {
     buffers[i].resize(config_.block_bytes);
-    batch[i] = ReadSpan{missing[i], config_.block_bytes, buffers[i].data(), false};
+    batch[i] = ReadSpan{bases[i], config_.block_bytes, buffers[i].data(), false};
   }
   (void)target_->ReadVector(batch);
-  out.batches = 1;
   stats_.vector_batches++;
-  for (size_t i = 0; i < missing.size(); ++i) {
+  size_t filled = 0;
+  for (size_t i = 0; i < bases.size(); ++i) {
     if (!batch[i].ok) {
       continue;  // unreadable block: reads of it fall back to exact ranges
     }
-    out.fetched_blocks++;
+    ++filled;
     stats_.vector_blocks++;
     stats_.fetched_bytes += config_.block_bytes;
     while (blocks_.size() >= config_.capacity_blocks && !lru_.empty()) {
@@ -418,49 +434,31 @@ ReadSession::SpanFetch ReadSession::FetchSpans(
       lru_.pop_back();
       stats_.evictions++;
     }
-    lru_.push_front(missing[i]);
-    Block& block = blocks_[missing[i]];
+    lru_.push_front(bases[i]);
+    Block& block = blocks_[bases[i]];
     if (snapshot != nullptr) {
-      (*snapshot)[missing[i]] = buffers[i];
+      (*snapshot)[bases[i]] = buffers[i];
     }
     block.bytes = std::move(buffers[i]);
     block.lru_it = lru_.begin();
+    block.refilled = refill;
   }
-  return out;
+  return filled;
 }
 
-void ReadSession::PrefetchObject(uint64_t addr, const Type* type) {
-  if (type == nullptr || type->size == 0) {
-    return;
+void ReadSession::NoteUse(Block* block) {
+  if (block->refilled) {
+    block->refilled = false;
+    stats_.refill_used_blocks++;
   }
-  stats_.prefetches++;
-  if (cache_enabled() && config_.delta_invalidation) {
-    CheckEpoch();
-    auto it = prefetched_.find(addr);
-    if (it != prefetched_.end() && it->second.bytes == type->size) {
-      // Re-prefetch of a known object: warm only the granules dirtied since
-      // the last prefetch. Clean granules are either still cached or not
-      // worth a speculative fetch (a read faults them in on demand).
-      stats_.delta_prefetches++;
-      uint64_t end = addr + type->size;
-      uint64_t first = addr & ~(kPageGranule - 1);
-      for (uint64_t granule = first; granule < end; granule += kPageGranule) {
-        if (RangeCleanSince(granule, kPageGranule, it->second.epoch)) {
-          continue;
-        }
-        uint64_t lo = std::max(granule, addr);
-        uint64_t hi = std::min(granule + kPageGranule, end);
-        Prefetch(lo, static_cast<size_t>(hi - lo));
-      }
-      it->second.epoch = epoch_;
-      return;
-    }
-    if (prefetched_.size() >= (size_t{1} << 16)) {
-      prefetched_.clear();  // bound the registry; worst case we re-warm fully
-    }
-    prefetched_[addr] = PrefetchedObject{type->size, epoch_};
+}
+
+void ReadSession::ResetCacheStats() {
+  stats_ = CacheStats{};
+  // A block refilled before the reset must not count as a use after it.
+  for (auto& [base, block] : blocks_) {
+    block.refilled = false;
   }
-  Prefetch(addr, type->size);
 }
 
 vl::Json ReadSession::StatsToJson() const {

@@ -54,16 +54,18 @@ struct CacheConfig {
   // LRU capacity in blocks (default 4096 blocks = 1 MiB at 256 B).
   size_t capacity_blocks = 4096;
   // Delta invalidation (docs/caching.md#incremental-invalidation): on an
-  // epoch change, query the target's dirty-page log and evict only the
-  // blocks overlapping dirty pages. Falls back to a whole-cache flush when
-  // the domain has no dirty log or the dirty ratio exceeds max_dirty_ratio.
+  // epoch change, query the target's dirty-page log and refresh only the
+  // cached blocks overlapping dirty pages, re-fetching them in one vectored
+  // batch charged to whoever syncs the epoch. Falls back to a whole-cache
+  // flush when the domain has no dirty log or the dirty ratio exceeds
+  // max_dirty_ratio.
   // Off by default, so the classic contract (full flush per epoch) stays
   // exact for existing sessions. NOTE: code that mutates target memory
   // out-of-band must bump the memory generation — a bare InvalidateAll() is
   // not enough once page-epoch consumers (viewcl memoization) are attached.
   bool delta_invalidation = false;
-  // Above this fraction of dirty pages, block-wise eviction walks most of
-  // the cache for nothing; one flush is cheaper and just as correct.
+  // Above this fraction of dirty pages, a block-wise refresh re-fetches most
+  // of the cache; one flush is cheaper and just as correct.
   double max_dirty_ratio = 0.5;
 
   static CacheConfig Disabled() { return CacheConfig{0, 0}; }
@@ -92,8 +94,10 @@ struct CacheStats {
   // Incremental-refresh accounting (docs/caching.md#incremental-invalidation).
   uint64_t delta_invalidations = 0;      // epoch changes absorbed block-wise
   uint64_t invalidated_bytes_full = 0;   // cached bytes dropped by full flushes
-  uint64_t invalidated_bytes_delta = 0;  // cached bytes dropped by delta eviction
-  uint64_t delta_prefetches = 0;         // re-prefetches narrowed to dirty pages
+  uint64_t invalidated_bytes_delta = 0;  // stale cached bytes dropped block-wise
+  uint64_t refill_batches = 0;      // vectored batches re-fetching dropped blocks
+  uint64_t refill_blocks = 0;       // blocks those batches refilled
+  uint64_t refill_used_blocks = 0;  // refilled blocks read before their next drop
   // Vectored-fetch accounting (docs/caching.md#vectored-reads).
   uint64_t vector_batches = 0;  // Target::ReadVector batches issued
   uint64_t vector_blocks = 0;   // blocks filled by those batches
@@ -106,8 +110,8 @@ struct CacheStats {
   // {"hits", "misses", "hit_bytes", "miss_bytes", "block_fetches",
   //  "fetched_bytes", "evictions", "invalidations", "uncached_reads",
   //  "prefetches", "delta_invalidations", "invalidated_bytes_full",
-  //  "invalidated_bytes_delta", "delta_prefetches", "vector_batches",
-  //  "vector_blocks"}
+  //  "invalidated_bytes_delta", "refill_batches", "refill_blocks",
+  //  "refill_used_blocks", "vector_batches", "vector_blocks"}
   vl::Json ToJson() const;
 };
 
@@ -125,12 +129,11 @@ class ReadSession {
   // Reads a NUL-terminated string of at most max_len bytes.
   vl::StatusOr<std::string> ReadCString(uint64_t addr, size_t max_len = 256);
 
-  // Prefetch hint: pulls the whole object into the cache in
-  // ceil(size/block) aligned requests before the interpreter walks its
+  // Prefetch hint: pulls the whole object's missing blocks into the cache in
+  // one vectored request (FetchSpans) before the interpreter walks its
   // members. Failures are ignored (partially readable objects still
   // benefit); a no-op when caching is disabled.
   void PrefetchObject(uint64_t addr, const Type* type);
-  void Prefetch(uint64_t addr, size_t len);
 
   // One address range of a vectored fetch (FetchSpans).
   struct Span {
@@ -155,7 +158,7 @@ class ReadSession {
   SpanFetch FetchSpans(const std::vector<Span>& spans,
                        std::unordered_map<uint64_t, std::vector<uint8_t>>* snapshot);
 
-  // Drops every cached block (does not touch stats counters except nothing).
+  // Drops every cached block without touching the stats counters.
   void InvalidateAll();
   // Swaps the cache configuration, dropping all cached blocks.
   void Reconfigure(CacheConfig config);
@@ -190,7 +193,7 @@ class ReadSession {
   Target* target() const { return target_; }
 
   const CacheStats& cache_stats() const { return stats_; }
-  void ResetCacheStats() { stats_ = CacheStats{}; }
+  void ResetCacheStats();
   // Cache-side stats only; Target::StatsToJson() has the transport side.
   vl::Json StatsToJson() const;
 
@@ -209,6 +212,7 @@ class ReadSession {
   struct Block {
     std::vector<uint8_t> bytes;
     std::list<uint64_t>::iterator lru_it;  // position in lru_ (front = hottest)
+    bool refilled = false;  // refreshed by delta invalidation, not read since
   };
 
   // Granularity of page-epoch bookkeeping (RangeCleanSince, page scopes).
@@ -217,11 +221,12 @@ class ReadSession {
   static constexpr uint64_t kPageGranule = 4096;
 
   // Invalidates stale cache state if the memory domain's generation moved:
-  // delta (dirty-page) eviction when configured and supported, else a full
+  // delta (dirty-page) refresh when configured and supported, else a full
   // flush.
   void CheckEpoch();
-  // Delta path: records dirty-page epochs, then evicts block-wise (or falls
-  // back to a full flush past the dirty-ratio threshold).
+  // Delta path: records dirty-page epochs, then refreshes the cached blocks
+  // on dirty pages in one batch (or falls back to a full flush past the
+  // dirty-ratio threshold).
   void ApplyDirtyInfo(const DirtyPageInfo& info, uint64_t now);
   // Full flush with accounting (the classic epoch contract).
   void FullInvalidate();
@@ -231,6 +236,14 @@ class ReadSession {
   // nullptr if the block cannot be read as a whole (caller falls back to a
   // direct ranged read). `hit` reports whether the block was already present.
   const Block* LookupOrFetch(uint64_t base, bool* hit);
+  // Fetches the uncached blocks at `bases` in ONE Target::ReadVector batch
+  // and inserts the readable ones at the LRU front (copied into `snapshot`
+  // when non-null; marked `refilled` when `refill`). Returns blocks filled.
+  size_t FillBlocks(const std::vector<uint64_t>& bases,
+                    std::unordered_map<uint64_t, std::vector<uint8_t>>* snapshot,
+                    bool refill);
+  // A consumer read `block`: counts the first use of a refilled block.
+  void NoteUse(Block* block);
 
   Target* target_;
   const std::atomic<bool>* trace_flag_;  // Tracer's enabled flag (cached)
@@ -250,13 +263,6 @@ class ReadSession {
   uint64_t dirty_floor_ = 0;
   // Open page-access scopes (innermost last).
   std::vector<std::unordered_set<uint64_t>> page_scopes_;
-  // Objects PrefetchObject has warmed: object addr -> {size, epoch}. Lets a
-  // re-prefetch warm only granules dirtied since the last one.
-  struct PrefetchedObject {
-    size_t bytes = 0;
-    uint64_t epoch = 0;
-  };
-  std::unordered_map<uint64_t, PrefetchedObject> prefetched_;
 };
 
 }  // namespace dbg

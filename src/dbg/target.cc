@@ -46,6 +46,8 @@ void Target::ResetStats() {
   // counters: both families account charges on this clock.
   vl::MetricsRegistry::Instance().ResetPrefix("read.vector.");
   vl::MetricsRegistry::Instance().ResetPrefix("plan.");
+  // The delta-refresh batches are read.vector batches too.
+  vl::MetricsRegistry::Instance().ResetPrefix("cache.refill.");
 }
 
 size_t Target::ReadVector(std::vector<ReadSpan>& spans) {

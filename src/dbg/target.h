@@ -158,10 +158,11 @@ class Target {
   uint64_t bytes_read() const { return bytes_read_.load(std::memory_order_relaxed); }
   // Resets clock, totals, per-model attribution, AND the `dbg.read.*`
   // tracing metrics recorded via RecordRead — plus the `read.vector.*` batch
-  // counters and the `plan.*` extraction-plan counters charged on this
-  // clock — so back-to-back bench phases can't leak counts into each other. Safe to call while readers snapshot
-  // stats concurrently (they see either pre- or post-reset values, never a
-  // torn map).
+  // counters, the `cache.refill.*` delta-refresh counters and the `plan.*`
+  // extraction-plan counters charged on this clock — so back-to-back bench
+  // phases can't leak counts into each other. Safe to call while readers
+  // snapshot stats concurrently (they see either pre- or post-reset values,
+  // never a torn map).
   void ResetStats();
 
   // Charges attributed per latency-model name, snapshotted by value so a

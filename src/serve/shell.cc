@@ -358,13 +358,16 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
     if (session.delta_enabled() || dirty.queries > 0) {
       out += vl::StrFormat(
           "  delta: %s, %llu delta / %llu full invalidations "
-          "(%llu B delta, %llu B full), %llu delta prefetches\n",
+          "(%llu B delta, %llu B full), %llu refill batches / %llu blocks "
+          "(%llu used)\n",
           session.delta_enabled() ? "on" : "off",
           static_cast<unsigned long long>(cache.delta_invalidations),
           static_cast<unsigned long long>(cache.invalidations),
           static_cast<unsigned long long>(cache.invalidated_bytes_delta),
           static_cast<unsigned long long>(cache.invalidated_bytes_full),
-          static_cast<unsigned long long>(cache.delta_prefetches));
+          static_cast<unsigned long long>(cache.refill_batches),
+          static_cast<unsigned long long>(cache.refill_blocks),
+          static_cast<unsigned long long>(cache.refill_used_blocks));
       out += vl::StrFormat(
           "  dirty-log: %llu queries, %llu pages scanned, %llu dirty, %llu ns charged\n",
           static_cast<unsigned long long>(dirty.queries),

@@ -773,7 +773,7 @@ class Interpreter::RunState {
     // Attribute every read below to the kernel type being instantiated
     // (virtual boxes keep the enclosing box's tag), and pull the whole
     // object into the block cache up front: the member walk below then
-    // rides ceil(size/block) transport round trips instead of one per field.
+    // rides one vectored transport round trip instead of one per field.
     // Under tracing, a per-kernel-type span ("viewcl.box.task_struct") makes
     // the member walk attributable in the explain tree.
     std::optional<vl::ScopedNamedSpan> box_span;

@@ -456,6 +456,47 @@ TEST_F(IncrementalCheckTest, DirtyFootprintRetriggersOnlyAffectedRules) {
   EXPECT_EQ(fixed.violations(), 0u) << fixed.RenderText();
 }
 
+// After a stop the epoch sync refreshes the session's dirty cached blocks in
+// one vectored batch, charged inside sync_ns; the re-run rules then read warm
+// blocks, and the verdicts match an uncached full sweep.
+TEST_F(IncrementalCheckTest, SweepAfterTickPaysOneRefillBatchInsideSync) {
+  CheckReport full = engine_->RunAll();
+  ASSERT_EQ(full.violations(), 0u) << full.RenderText();
+  vkern::rcu_data* rdp = &kernel_->rcu_data_array()[0];
+  rdp->cblist_len += 3;
+  kernel_->BumpGeneration();
+  kernel_->TickCpu(0);
+
+  const dbg::CacheStats before = debugger_->session().cache_stats();
+  const uint64_t dirty_before = debugger_->target().dirty_stats().charged_ns;
+  CheckReport inc = engine_->RunIncremental();
+  const dbg::CacheStats& after = debugger_->session().cache_stats();
+  EXPECT_TRUE(inc.reconciled);
+  EXPECT_EQ(after.vector_batches - before.vector_batches, 1u);
+  EXPECT_EQ(after.refill_batches - before.refill_batches, 1u);
+  const uint64_t refilled = after.refill_blocks - before.refill_blocks;
+  EXPECT_GT(refilled, 0u);
+  const dbg::LatencyModel& model = debugger_->target().model();
+  const uint64_t refill_ns = model.per_access_ns + model.per_byte_ns * refilled *
+                                                       debugger_->session().config().block_bytes;
+  EXPECT_EQ(inc.sync_ns,
+            debugger_->target().dirty_stats().charged_ns - dirty_before + refill_ns);
+
+  dbg::KernelDebugger uncached(kernel_.get(), dbg::LatencyModel::GdbQemu(),
+                               dbg::CacheConfig::Disabled());
+  vision::RegisterFigureSymbols(&uncached, workload_.get());
+  CheckEngine reference_engine(&uncached.types(), &uncached.symbols(), &uncached.session());
+  CheckReport reference = reference_engine.RunAll();
+  EXPECT_TRUE(FiredAt(inc, "VC008", reinterpret_cast<uint64_t>(&rdp->cblist_len)))
+      << inc.RenderText();
+  ASSERT_EQ(inc.rules.size(), reference.rules.size());
+  for (size_t i = 0; i < inc.rules.size(); ++i) {
+    EXPECT_EQ(inc.rules[i].id, reference.rules[i].id);
+    EXPECT_EQ(AllMessages(inc, inc.rules[i].id), AllMessages(reference, inc.rules[i].id))
+        << inc.rules[i].id;
+  }
+}
+
 TEST_F(IncrementalCheckTest, SuspectChangeRetriggersSlabAudit) {
   vkern::kmem_cache* cache = kernel_->slabs().FindCache("maple_node");
   ASSERT_NE(cache, nullptr);
@@ -554,6 +595,25 @@ TEST(CheckShellTest, VctrlCheckAndStatsSurfaceSweeps) {
   EXPECT_NE(stats.find("check:"), std::string::npos) << stats;
   std::string prom = shell.Execute("vctrl export prom");
   EXPECT_NE(prom.find("vl_check_fleet_sweeps"), std::string::npos) << prom;
+}
+
+TEST(CheckShellTest, StatsAndPromSurfaceDeltaRefill) {
+  vserve::Server server;
+  ASSERT_TRUE(server.BootShard("main").ok());
+  auto client = vserve::Client::Connect(&server);
+  ASSERT_TRUE(client.ok());
+  vserve::DebuggerShell shell(client->session());
+
+  shell.Execute("vctrl check");
+  server.shard_kernel("main")->TickCpu(0);
+  std::string out = shell.Execute("vctrl check incremental");
+  EXPECT_EQ(out.find("NOT RECONCILED"), std::string::npos) << out;
+
+  std::string stats = shell.Execute("vctrl stats");
+  EXPECT_NE(stats.find(", 1 refill batches / "), std::string::npos) << stats;
+  std::string prom = shell.Execute("vctrl export prom");
+  EXPECT_NE(prom.find("vl_cache_refill_batches_total 1\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("vl_cache_refill_blocks_total"), std::string::npos) << prom;
 }
 
 }  // namespace

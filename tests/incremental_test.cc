@@ -1,6 +1,6 @@
 // Incremental refresh correctness: the write-protect dirty-page journal over
 // the arena, Target's charged dirty-log queries, ReadSession delta
-// invalidation (with the all-dirty fallback), dirty-aware prefetch, viewcl
+// refresh (with the all-dirty fallback and refill accounting), prefetch, viewcl
 // memo replay, the pane render-digest cache — and the end-to-end contract
 // that incremental refreshes render byte-identically to cold-cache
 // extractions for every figure, across epoch skew.
@@ -17,6 +17,7 @@
 #include "src/dbg/kernel_introspect.h"
 #include "src/dbg/read_session.h"
 #include "src/dbg/target.h"
+#include "src/support/metrics.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
 #include "src/vision/panes.h"
@@ -266,31 +267,40 @@ class FlatDirtyMemory : public MemoryDomain {
   std::map<uint64_t, uint64_t> dirty_;  // page index -> last dirty generation
 };
 
-TEST(DeltaInvalidationTest, EvictsOnlyBlocksOnDirtyPages) {
+TEST(DeltaInvalidationTest, RefreshesOnlyBlocksOnDirtyPages) {
   FlatDirtyMemory memory(16 * kPage);
   Target target(&memory, LatencyModel::Free());
   ReadSession session(&target, CacheConfig::Incremental());
   ASSERT_TRUE(session.delta_enabled());
+  const size_t block = session.config().block_bytes;
 
   ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());          // page 0
   ASSERT_TRUE(session.ReadUnsigned(2 * kPage, 8).ok());  // page 2
   EXPECT_EQ(target.reads(), 2u);
+  EXPECT_EQ(target.bytes_read(), 2 * block);
 
   memory.Mutate(0, 0xEE);
 
-  // The clean page survives the epoch change: no refetch.
-  ASSERT_TRUE(session.ReadUnsigned(2 * kPage, 8).ok());
-  EXPECT_EQ(target.reads(), 2u);
+  // The epoch sync re-fetches the formerly cached page-0 block, and only it,
+  // in one vectored batch; the clean page-2 block is not fetched.
+  session.SyncEpoch();
+  EXPECT_EQ(target.reads(), 3u);
+  EXPECT_EQ(target.bytes_read(), 3 * block);
+  EXPECT_EQ(session.cache_stats().vector_batches, 1u);
+  EXPECT_EQ(session.cache_stats().refill_batches, 1u);
+  EXPECT_EQ(session.cache_stats().refill_blocks, 1u);
   EXPECT_EQ(session.cache_stats().delta_invalidations, 1u);
   EXPECT_EQ(session.cache_stats().invalidations, 0u);
-  EXPECT_GT(session.cache_stats().invalidated_bytes_delta, 0u);
+  EXPECT_EQ(session.cache_stats().invalidated_bytes_delta, block);
   EXPECT_EQ(session.cache_stats().invalidated_bytes_full, 0u);
 
-  // The dirty page was evicted: refetch sees the new byte.
+  // Both pages now read from cache, and page 0 has the new byte.
+  ASSERT_TRUE(session.ReadUnsigned(2 * kPage, 8).ok());
   auto fresh = session.ReadUnsigned(0, 1);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(*fresh, 0xEEu);
   EXPECT_EQ(target.reads(), 3u);
+  EXPECT_EQ(session.cache_stats().refill_used_blocks, 1u);
 }
 
 TEST(DeltaInvalidationTest, AllPagesDirtyFallsBackToFullFlush) {
@@ -301,14 +311,19 @@ TEST(DeltaInvalidationTest, AllPagesDirtyFallsBackToFullFlush) {
   for (uint64_t page = 0; page < 16; ++page) {
     ASSERT_TRUE(session.ReadUnsigned(page * kPage, 8).ok());
   }
+  uint64_t reads = target.reads();
   memory.MutateAllPages();
 
   // Dirty ratio 1.0 > max_dirty_ratio: one flush, not 16 pages of block
-  // walking — and the legacy `invalidations` counter keeps its meaning.
-  ASSERT_TRUE(session.ReadUnsigned(0, 1).ok());
+  // refresh — and the legacy `invalidations` counter keeps its meaning.
+  session.SyncEpoch();
   EXPECT_EQ(session.cache_stats().invalidations, 1u);
   EXPECT_EQ(session.cache_stats().delta_invalidations, 0u);
   EXPECT_GT(session.cache_stats().invalidated_bytes_full, 0u);
+  EXPECT_EQ(session.cached_blocks(), 0u);
+  EXPECT_EQ(session.cache_stats().refill_batches, 0u);
+  EXPECT_EQ(session.cache_stats().vector_batches, 0u);
+  EXPECT_EQ(target.reads(), reads);
 
   // Every page refetches fresh bytes.
   auto v = session.ReadUnsigned(5 * kPage, 1);
@@ -371,20 +386,89 @@ TEST(DeltaInvalidationTest, DirtyAwarePrefetchWarmsOnlyDirtyPages) {
   object.size = 2 * kPage;
 
   session.PrefetchObject(0, &object);
-  uint64_t reads_cold = target.reads();
-  EXPECT_GT(reads_cold, 0u);
+  EXPECT_EQ(target.reads(), 1u);
+  EXPECT_EQ(target.bytes_read(), 2 * kPage);
 
-  // Dirty only the second page, then re-prefetch: only that page's blocks
-  // refetch.
+  // Dirty only the second page, then re-prefetch: one batch of exactly that
+  // page's bytes (the epoch sync's refill), and the prefetch finds the rest
+  // cached.
   memory.Mutate(kPage + 8, 0x55);
   session.PrefetchObject(0, &object);
-  uint64_t blocks_per_page = kPage / session.config().block_bytes;
-  EXPECT_EQ(target.reads(), reads_cold + blocks_per_page);
-  EXPECT_EQ(session.cache_stats().delta_prefetches, 1u);
+  EXPECT_EQ(target.reads(), 2u);
+  EXPECT_EQ(target.bytes_read(), 3 * kPage);
 
   // Clean re-prefetch: free.
   session.PrefetchObject(0, &object);
-  EXPECT_EQ(target.reads(), reads_cold + blocks_per_page);
+  EXPECT_EQ(target.reads(), 2u);
+  EXPECT_EQ(target.bytes_read(), 3 * kPage);
+}
+
+TEST(DeltaInvalidationTest, DirtyPageWithoutCachedBlocksIssuesNoBatch) {
+  FlatDirtyMemory memory(16 * kPage);
+  Target target(&memory, LatencyModel{"test", 1000, 10, 50'000});
+  ReadSession session(&target, CacheConfig::Incremental());
+  ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());  // only page 0 is cached
+  uint64_t reads = target.reads();
+  uint64_t clock = target.clock().nanos();
+  uint64_t dirty_ns = target.dirty_stats().charged_ns;
+
+  memory.Mutate(5 * kPage, 0x11);
+  session.SyncEpoch();
+  EXPECT_EQ(session.cache_stats().delta_invalidations, 1u);
+  EXPECT_EQ(session.cache_stats().refill_batches, 0u);
+  EXPECT_EQ(session.cache_stats().vector_batches, 0u);
+  EXPECT_EQ(target.reads(), reads);
+  // Nothing beyond the dirty-log query itself is charged.
+  EXPECT_EQ(target.clock().nanos() - clock, target.dirty_stats().charged_ns - dirty_ns);
+}
+
+TEST(DeltaInvalidationTest, RefillInsideOpenPageScopeRecordsNoPages) {
+  FlatDirtyMemory memory(16 * kPage);
+  Target target(&memory, LatencyModel::Free());
+  ReadSession session(&target, CacheConfig::Incremental());
+  ASSERT_TRUE(session.ReadUnsigned(5 * kPage, 8).ok());
+  memory.Mutate(5 * kPage, 0x22);
+
+  // The read syncs the epoch and so pays page 5's refill inside the scope;
+  // only the page the consumer read lands in it.
+  session.PushPageScope();
+  ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
+  std::vector<uint64_t> pages = session.PopPageScope();
+  EXPECT_EQ(session.cache_stats().refill_blocks, 1u);
+  EXPECT_EQ(pages, std::vector<uint64_t>{0});
+}
+
+TEST(DeltaInvalidationTest, RefillUseCountsFirstReadAndResets) {
+  FlatDirtyMemory memory(16 * kPage);
+  Target target(&memory, LatencyModel::Free());
+  ReadSession session(&target, CacheConfig::Incremental());
+  const size_t block = session.config().block_bytes;
+  ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
+  ASSERT_TRUE(session.ReadUnsigned(block, 8).ok());  // second block of page 0
+
+  memory.Mutate(0, 0x33);
+  session.SyncEpoch();
+  EXPECT_EQ(session.cache_stats().refill_blocks, 2u);
+  EXPECT_EQ(session.cache_stats().refill_used_blocks, 0u);
+
+  // Only the first read of a refilled block counts.
+  ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
+  ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
+  EXPECT_EQ(session.cache_stats().refill_used_blocks, 1u);
+
+  // A second stop refills both again; the unread one was wasted twice.
+  memory.Mutate(0, 0x44);
+  session.SyncEpoch();
+  EXPECT_EQ(session.cache_stats().refill_batches, 2u);
+  EXPECT_EQ(session.cache_stats().refill_blocks, 4u);
+  EXPECT_LE(session.cache_stats().refill_used_blocks, session.cache_stats().refill_blocks);
+
+  // A reset zeroes both, and a block refilled before it is no use after it.
+  session.ResetCacheStats();
+  EXPECT_EQ(session.cache_stats().refill_blocks, 0u);
+  EXPECT_EQ(session.cache_stats().refill_used_blocks, 0u);
+  ASSERT_TRUE(session.ReadUnsigned(block, 8).ok());
+  EXPECT_EQ(session.cache_stats().refill_used_blocks, 0u);
 }
 
 // --- charged dirty-log queries ----------------------------------------------
@@ -534,6 +618,38 @@ TEST_F(IncrementalKernelTest, AttachingAnotherDebuggerInvalidatesTheFirst) {
   ASSERT_TRUE(reference_graph.ok());
   vision::AsciiRenderer renderer;
   EXPECT_EQ(renderer.Render(**refreshed), renderer.Render(**reference_graph));
+}
+
+// Across workload steps the dirty-log refresh refills blocks the next
+// extraction reads, and never counts a use it did not refill.
+TEST_F(IncrementalKernelTest, RefillUsedBlocksNeverExceedRefilled) {
+  KernelDebugger debugger(kernel_.get(), LatencyModel::GdbQemu(), CacheConfig::Incremental());
+  vision::RegisterFigureSymbols(&debugger, workload_.get());
+  const vision::FigureDef* figure = vision::FindFigure("fig7_1");
+  ASSERT_NE(figure, nullptr);
+  debugger.target().ResetStats();
+  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
+  for (int step = 0; step < 4; ++step) {
+    viewcl::Interpreter interp(&debugger);
+    ASSERT_TRUE(interp.RunProgram(figure->viewcl).ok());
+    workload_->Step();
+  }
+  viewcl::Interpreter interp(&debugger);
+  ASSERT_TRUE(interp.RunProgram(figure->viewcl).ok());
+
+  const CacheStats& stats = debugger.session().cache_stats();
+  EXPECT_GT(stats.refill_batches, 0u);
+  EXPECT_GT(stats.refill_used_blocks, 0u);
+  EXPECT_LE(stats.refill_used_blocks, stats.refill_blocks);
+  EXPECT_EQ(metrics.GetCounter("cache.refill.batches")->value(), stats.refill_batches);
+  EXPECT_EQ(metrics.GetCounter("cache.refill.blocks")->value(), stats.refill_blocks);
+
+  debugger.session().ResetCacheStats();
+  EXPECT_EQ(debugger.session().cache_stats().refill_blocks, 0u);
+  EXPECT_EQ(debugger.session().cache_stats().refill_used_blocks, 0u);
+  debugger.target().ResetStats();
+  EXPECT_EQ(metrics.GetCounter("cache.refill.batches")->value(), 0u);
+  EXPECT_EQ(metrics.GetCounter("cache.refill.blocks")->value(), 0u);
 }
 
 TEST_F(IncrementalKernelTest, MemoReplaysCleanSubtreesOnRefresh) {
