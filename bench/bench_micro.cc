@@ -127,6 +127,52 @@ void BM_ViewClPlotRunqueue(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewClPlotRunqueue);
 
+// One cold socketconn pane, plotted and refreshed on a freshly attached
+// GDB/QEMU debugger: the repository benchmark's slowest atlas_cold op on the
+// host clock (it evaluates a ${} per fd slot of every task). Attaching and
+// tearing down are not timed. Host time only: no floor, no guard.
+void BM_SocketconnColdPlot(benchmark::State& state) {
+  struct ColdPane {
+    std::unique_ptr<dbg::KernelDebugger> debugger;
+    vserve::Server server;
+    std::unique_ptr<vserve::Client> client;
+  };
+  vlbench::BenchEnv* env = Env();
+  const char* program = vision::FindFigure("socketconn")->viewcl;
+  std::unique_ptr<ColdPane> pane;
+  for (auto _ : state) {
+    state.PauseTiming();
+    pane.reset();
+    pane = std::make_unique<ColdPane>();
+    pane->debugger =
+        std::make_unique<dbg::KernelDebugger>(env->kernel.get(), dbg::LatencyModel::GdbQemu());
+    vision::RegisterFigureSymbols(pane->debugger.get(), env->workload.get());
+    vserve::SessionOptions options;
+    options.shard = "cold";
+    if (!pane->server.AddShard(options.shard, pane->debugger.get()).ok()) {
+      state.SkipWithError("AddShard failed");
+      break;
+    }
+    vl::StatusOr<vserve::Client> client = pane->server.Connect(options);
+    if (!client.ok()) {
+      state.SkipWithError("Connect failed");
+      break;
+    }
+    pane->client = std::make_unique<vserve::Client>(std::move(client).value());
+    state.ResumeTiming();
+
+    vl::Status plotted = (*pane->client)->Plot(1, program).status();
+    vl::StatusOr<vserve::ServeResult> served =
+        plotted.ok() ? (*pane->client)->Refresh(1) : vl::StatusOr<vserve::ServeResult>(plotted);
+    if (!served.ok()) {
+      state.SkipWithError("socketconn plot failed");
+      break;
+    }
+    benchmark::DoNotOptimize(served->render.data());
+  }
+}
+BENCHMARK(BM_SocketconnColdPlot)->Unit(benchmark::kMillisecond);
+
 void BM_ViewQlSelectUpdate(benchmark::State& state) {
   vlbench::BenchEnv* env = Env();
   viewcl::Interpreter interp(env->debugger.get());

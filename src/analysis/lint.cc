@@ -671,16 +671,17 @@ class Linter::ViewClChecker {
     }
   }
 
-  // VL012/VL013: syntax-check the ${...} text, then scan it for identifiers
+  // VL012/VL013: report the ${...} parse error the ViewCL parser stored in
+  // the expression's compiled handle, then scan the text for identifiers
   // that neither the scope chain nor any registry can resolve. Member names
   // after '.' or '->' are skipped — they belong to whatever the prefix
   // evaluates to, which the expression grammar resolves dynamically.
   void CheckCExpr(const viewcl::Expr& e) {
-    vl::Status syntax = dbg::CheckCExpression(e.text);
+    const vl::Status& syntax = e.cexpr->status();
     if (!syntax.ok()) {
       diags_->AddRule("VL013", Severity::kError, e.span,
                       vl::StrFormat("C-expression syntax error: %s",
-                                    std::string(syntax.message()).c_str()));
+                                    syntax.message().c_str()));
       return;
     }
     const std::string& s = e.text;

@@ -7,7 +7,55 @@
 
 namespace dbg {
 
+// ---------------------------------------------------------------------------
+// AST
+// ---------------------------------------------------------------------------
+
+namespace expr_internal {
+
+// Operators, resolved from their spelling at parse time.
+enum class Op : uint8_t {
+  kNone,
+  kDeref, kAddrOf, kNot, kBitNot, kNeg,                             // unary
+  kLogOr, kLogAnd, kOr, kXor, kAnd, kEq, kNe, kLt, kLe, kGt, kGe,  // binary
+  kShl, kShr, kAdd, kSub, kMul, kDiv, kMod
+};
+
+struct Node {
+  enum Kind {
+    kInt,
+    kNull,     // NULL / null / nullptr
+    kBool,     // true / false: ival
+    kIdent,
+    kAtRef,
+    kUnary,    // op
+    kBinary,   // op
+    kTernary,
+    kCall,     // text = callee name
+    kMember,   // text = field name (covers both . and ->)
+    kIndex,
+    kCast,     // text = type spelling (e.g. "task_struct**")
+    kSizeofType,
+  };
+  Kind kind;
+  Op op = Op::kNone;
+  uint64_t ival = 0;
+  std::string text;
+  std::vector<std::unique_ptr<Node>> kids;
+};
+
+}  // namespace expr_internal
+
 namespace {
+
+using expr_internal::Node;
+using expr_internal::Op;
+
+std::unique_ptr<Node> MakeNode(Node::Kind kind) {
+  auto n = std::make_unique<Node>();
+  n->kind = kind;
+  return n;
+}
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -188,36 +236,6 @@ class Lexer {
 };
 
 // ---------------------------------------------------------------------------
-// AST
-// ---------------------------------------------------------------------------
-
-struct Node {
-  enum Kind {
-    kInt,
-    kIdent,
-    kAtRef,
-    kUnary,    // op in text
-    kBinary,   // op in text
-    kTernary,
-    kCall,     // text = callee name
-    kMember,   // text = field name (covers both . and ->)
-    kIndex,
-    kCast,     // text = type spelling (e.g. "task_struct**")
-    kSizeofType,
-  };
-  Kind kind;
-  uint64_t ival = 0;
-  std::string text;
-  std::vector<std::unique_ptr<Node>> kids;
-};
-
-std::unique_ptr<Node> MakeNode(Node::Kind kind) {
-  auto n = std::make_unique<Node>();
-  n->kind = kind;
-  return n;
-}
-
-// ---------------------------------------------------------------------------
 // Parser (recursive descent with precedence climbing for binaries)
 // ---------------------------------------------------------------------------
 
@@ -323,32 +341,40 @@ class Parser {
     return node;
   }
 
-  static int Precedence(const std::string& op) {
-    if (op == "||") return 1;
-    if (op == "&&") return 2;
-    if (op == "|") return 3;
-    if (op == "^") return 4;
-    if (op == "&") return 5;
-    if (op == "==" || op == "!=") return 6;
-    if (op == "<" || op == "<=" || op == ">" || op == ">=") return 7;
-    if (op == "<<" || op == ">>") return 8;
-    if (op == "+" || op == "-") return 9;
-    if (op == "*" || op == "/" || op == "%") return 10;
-    return -1;
+  struct BinaryOp {
+    std::string_view spelling;
+    Op op;
+    int prec;
+  };
+
+  static const BinaryOp* FindBinaryOp(const std::string& spelling) {
+    static constexpr BinaryOp kOps[] = {
+        {"||", Op::kLogOr, 1}, {"&&", Op::kLogAnd, 2}, {"|", Op::kOr, 3},
+        {"^", Op::kXor, 4},    {"&", Op::kAnd, 5},     {"==", Op::kEq, 6},
+        {"!=", Op::kNe, 6},    {"<", Op::kLt, 7},      {"<=", Op::kLe, 7},
+        {">", Op::kGt, 7},     {">=", Op::kGe, 7},     {"<<", Op::kShl, 8},
+        {">>", Op::kShr, 8},   {"+", Op::kAdd, 9},     {"-", Op::kSub, 9},
+        {"*", Op::kMul, 10},   {"/", Op::kDiv, 10},    {"%", Op::kMod, 10},
+    };
+    for (const BinaryOp& op : kOps) {
+      if (op.spelling == spelling) {
+        return &op;
+      }
+    }
+    return nullptr;
   }
 
   vl::StatusOr<std::unique_ptr<Node>> ParseBinary(int min_prec) {
     VL_ASSIGN_OR_RETURN(std::unique_ptr<Node> lhs, ParseUnary());
     while (Cur().kind == Tok::kPunct) {
-      int prec = Precedence(Cur().text);
-      if (prec < 0 || prec < min_prec) {
+      const BinaryOp* op = FindBinaryOp(Cur().text);
+      if (op == nullptr || op->prec < min_prec) {
         break;
       }
-      std::string op = Cur().text;
       Advance();
-      VL_ASSIGN_OR_RETURN(std::unique_ptr<Node> rhs, ParseBinary(prec + 1));
+      VL_ASSIGN_OR_RETURN(std::unique_ptr<Node> rhs, ParseBinary(op->prec + 1));
       auto node = MakeNode(Node::kBinary);
-      node->text = op;
+      node->op = op->op;
       node->kids.push_back(std::move(lhs));
       node->kids.push_back(std::move(rhs));
       lhs = std::move(node);
@@ -357,16 +383,19 @@ class Parser {
   }
 
   vl::StatusOr<std::unique_ptr<Node>> ParseUnary() {
-    for (std::string_view op : {"*", "&", "!", "~", "-", "+"}) {
-      if (IsPunct(op)) {
-        std::string spelling(op);
+    static constexpr std::pair<std::string_view, Op> kUnaryOps[] = {
+        {"*", Op::kDeref}, {"&", Op::kAddrOf}, {"!", Op::kNot},
+        {"~", Op::kBitNot}, {"-", Op::kNeg},   {"+", Op::kNone},
+    };
+    for (const auto& [spelling, op] : kUnaryOps) {
+      if (IsPunct(spelling)) {
         Advance();
         VL_ASSIGN_OR_RETURN(std::unique_ptr<Node> operand, ParseUnary());
-        if (spelling == "+") {
-          return operand;
+        if (op == Op::kNone) {
+          return operand;  // unary plus
         }
         auto node = MakeNode(Node::kUnary);
-        node->text = spelling;
+        node->op = op;
         node->kids.push_back(std::move(operand));
         return node;
       }
@@ -467,6 +496,14 @@ class Parser {
         }
         return node;
       }
+      if (name == "NULL" || name == "null" || name == "nullptr") {
+        return MakeNode(Node::kNull);
+      }
+      if (name == "true" || name == "false") {
+        auto node = MakeNode(Node::kBool);
+        node->ival = name == "true" ? 1 : 0;
+        return node;
+      }
       auto node = MakeNode(Node::kIdent);
       node->text = name;
       return node;
@@ -491,12 +528,16 @@ class Parser {
 
 class Evaluator {
  public:
-  Evaluator(EvalContext* ctx, const Environment* env) : ctx_(ctx), env_(env) {}
+  Evaluator(EvalContext* ctx, const RefLookup* refs) : ctx_(ctx), refs_(refs) {}
 
   vl::StatusOr<Value> Eval(const Node* node) {
     switch (node->kind) {
       case Node::kInt:
         return Value::MakeInt(ctx_->types()->u64(), node->ival);
+      case Node::kNull:
+        return Value::MakePointer(ctx_->types()->PointerTo(ctx_->types()->void_type()), 0);
+      case Node::kBool:
+        return Value::MakeInt(ctx_->types()->bool_type(), node->ival);
       case Node::kAtRef:
         return EvalAtRef(node);
       case Node::kIdent:
@@ -534,26 +575,15 @@ class Evaluator {
 
  private:
   vl::StatusOr<Value> EvalAtRef(const Node* node) {
-    if (env_ != nullptr) {
-      auto it = env_->find(node->text);
-      if (it != env_->end()) {
-        return it->second;
-      }
+    Value bound;
+    if (refs_ != nullptr && refs_->Find(node->text, &bound)) {
+      return bound;
     }
     return vl::EvalError("unbound @" + node->text);
   }
 
   vl::StatusOr<Value> EvalIdent(const Node* node) {
     const std::string& name = node->text;
-    if (name == "NULL" || name == "null" || name == "nullptr") {
-      return Value::MakePointer(ctx_->types()->PointerTo(ctx_->types()->void_type()), 0);
-    }
-    if (name == "true") {
-      return Value::MakeInt(ctx_->types()->bool_type(), 1);
-    }
-    if (name == "false") {
-      return Value::MakeInt(ctx_->types()->bool_type(), 0);
-    }
     int64_t enum_value = 0;
     if (ctx_->types()->FindEnumerator(name, &enum_value)) {
       return Value::MakeInt(ctx_->types()->u64(), static_cast<uint64_t>(enum_value));
@@ -567,37 +597,36 @@ class Evaluator {
 
   vl::StatusOr<Value> EvalUnary(const Node* node) {
     VL_ASSIGN_OR_RETURN(Value operand, Eval(node->kids[0].get()));
-    const std::string& op = node->text;
-    if (op == "*") {
+    if (node->op == Op::kDeref) {
       return operand.Deref(ctx_->session(), ctx_->types());
     }
-    if (op == "&") {
+    if (node->op == Op::kAddrOf) {
       return operand.AddressOf(ctx_->types());
     }
     VL_ASSIGN_OR_RETURN(Value loaded, operand.Load(ctx_->session()));
-    if (op == "!") {
+    if (node->op == Op::kNot) {
       return Value::MakeInt(ctx_->types()->IntType(4, true), loaded.bits() == 0 ? 1 : 0);
     }
-    if (op == "~") {
+    if (node->op == Op::kBitNot) {
       return Value::MakeInt(loaded.type(), ~loaded.bits());
     }
-    if (op == "-") {
+    if (node->op == Op::kNeg) {
       return Value::MakeInt(ctx_->types()->IntType(8, true),
                             static_cast<uint64_t>(-loaded.AsSigned()));
     }
-    return vl::InternalError("unhandled unary operator " + op);
+    return vl::InternalError("unhandled unary operator");
   }
 
   vl::StatusOr<Value> EvalBinary(const Node* node) {
-    const std::string& op = node->text;
+    const Op op = node->op;
     // Short-circuit logical operators.
-    if (op == "&&" || op == "||") {
+    if (op == Op::kLogAnd || op == Op::kLogOr) {
       VL_ASSIGN_OR_RETURN(Value lhs, Eval(node->kids[0].get()));
       VL_ASSIGN_OR_RETURN(bool lb, lhs.ToBool(ctx_->session()));
-      if (op == "&&" && !lb) {
+      if (op == Op::kLogAnd && !lb) {
         return Value::MakeInt(ctx_->types()->IntType(4, true), 0);
       }
-      if (op == "||" && lb) {
+      if (op == Op::kLogOr && lb) {
         return Value::MakeInt(ctx_->types()->IntType(4, true), 1);
       }
       VL_ASSIGN_OR_RETURN(Value rhs, Eval(node->kids[1].get()));
@@ -612,13 +641,13 @@ class Evaluator {
 
     // Pointer arithmetic: ptr +/- int is scaled by the pointee size.
     if (lhs.type() != nullptr && lhs.type()->kind == TypeKind::kPointer &&
-        (op == "+" || op == "-") && rhs.type() != nullptr &&
+        (op == Op::kAdd || op == Op::kSub) && rhs.type() != nullptr &&
         rhs.type()->kind != TypeKind::kPointer) {
       uint64_t scale = lhs.type()->pointee->size;
       scale = scale == 0 ? 1 : scale;
       uint64_t delta = rhs.bits() * scale;
       return Value::MakePointer(lhs.type(),
-                                op == "+" ? lhs.bits() + delta : lhs.bits() - delta);
+                                op == Op::kAdd ? lhs.bits() + delta : lhs.bits() - delta);
     }
 
     uint64_t a = lhs.bits();
@@ -628,47 +657,47 @@ class Evaluator {
     const Type* int_type = ctx_->types()->IntType(8, is_signed);
     const Type* cmp_type = ctx_->types()->IntType(4, true);
 
-    if (op == "+") return Value::MakeInt(int_type, a + b);
-    if (op == "-") return Value::MakeInt(int_type, a - b);
-    if (op == "*") return Value::MakeInt(int_type, a * b);
-    if (op == "/") {
+    if (op == Op::kAdd) return Value::MakeInt(int_type, a + b);
+    if (op == Op::kSub) return Value::MakeInt(int_type, a - b);
+    if (op == Op::kMul) return Value::MakeInt(int_type, a * b);
+    if (op == Op::kDiv) {
       if (b == 0) {
         return vl::EvalError("division by zero");
       }
       return Value::MakeInt(
           int_type, is_signed ? static_cast<uint64_t>(lhs.AsSigned() / rhs.AsSigned()) : a / b);
     }
-    if (op == "%") {
+    if (op == Op::kMod) {
       if (b == 0) {
         return vl::EvalError("modulo by zero");
       }
       return Value::MakeInt(
           int_type, is_signed ? static_cast<uint64_t>(lhs.AsSigned() % rhs.AsSigned()) : a % b);
     }
-    if (op == "&") return Value::MakeInt(int_type, a & b);
-    if (op == "|") return Value::MakeInt(int_type, a | b);
-    if (op == "^") return Value::MakeInt(int_type, a ^ b);
-    if (op == "<<") return Value::MakeInt(int_type, a << (b & 63));
-    if (op == ">>") return Value::MakeInt(int_type, a >> (b & 63));
-    if (op == "==") return Value::MakeInt(cmp_type, a == b ? 1 : 0);
-    if (op == "!=") return Value::MakeInt(cmp_type, a != b ? 1 : 0);
-    if (op == "<") {
+    if (op == Op::kAnd) return Value::MakeInt(int_type, a & b);
+    if (op == Op::kOr) return Value::MakeInt(int_type, a | b);
+    if (op == Op::kXor) return Value::MakeInt(int_type, a ^ b);
+    if (op == Op::kShl) return Value::MakeInt(int_type, a << (b & 63));
+    if (op == Op::kShr) return Value::MakeInt(int_type, a >> (b & 63));
+    if (op == Op::kEq) return Value::MakeInt(cmp_type, a == b ? 1 : 0);
+    if (op == Op::kNe) return Value::MakeInt(cmp_type, a != b ? 1 : 0);
+    if (op == Op::kLt) {
       return Value::MakeInt(cmp_type,
                             (is_signed ? lhs.AsSigned() < rhs.AsSigned() : a < b) ? 1 : 0);
     }
-    if (op == "<=") {
+    if (op == Op::kLe) {
       return Value::MakeInt(cmp_type,
                             (is_signed ? lhs.AsSigned() <= rhs.AsSigned() : a <= b) ? 1 : 0);
     }
-    if (op == ">") {
+    if (op == Op::kGt) {
       return Value::MakeInt(cmp_type,
                             (is_signed ? lhs.AsSigned() > rhs.AsSigned() : a > b) ? 1 : 0);
     }
-    if (op == ">=") {
+    if (op == Op::kGe) {
       return Value::MakeInt(cmp_type,
                             (is_signed ? lhs.AsSigned() >= rhs.AsSigned() : a >= b) ? 1 : 0);
     }
-    return vl::InternalError("unhandled binary operator " + op);
+    return vl::InternalError("unhandled binary operator");
   }
 
   vl::StatusOr<Value> EvalTernary(const Node* node) {
@@ -735,7 +764,7 @@ class Evaluator {
   }
 
   EvalContext* ctx_;
-  const Environment* env_;
+  const RefLookup* refs_;
 };
 
 vl::StatusOr<std::unique_ptr<Node>> ParseExpression(std::string_view expr) {
@@ -748,19 +777,45 @@ vl::StatusOr<std::unique_ptr<Node>> ParseExpression(std::string_view expr) {
 
 }  // namespace
 
-vl::StatusOr<Value> EvalCExpression(EvalContext* ctx, std::string_view expr,
-                                    const Environment* env) {
-  auto parsed = ParseExpression(expr);
-  if (!parsed.ok()) {
-    return vl::ParseError(parsed.status().message() + " in '" + std::string(expr) + "'");
+bool EnvironmentRefs::Find(std::string_view name, Value* out) const {
+  if (env_ == nullptr) {
+    return false;
   }
-  Evaluator evaluator(ctx, env);
-  return evaluator.Eval(parsed.value().get());
+  auto it = env_->find(name);
+  if (it == env_->end()) {
+    return false;
+  }
+  *out = it->second;
+  return true;
 }
 
-vl::Status CheckCExpression(std::string_view expr) {
-  auto parsed = ParseExpression(expr);
-  return parsed.ok() ? vl::Status::Ok() : parsed.status();
+CExpr::CExpr(std::string_view text) : text_(text) {
+  auto parsed = ParseExpression(text_);
+  if (parsed.ok()) {
+    root_ = std::move(parsed).value();
+  } else {
+    status_ = parsed.status();
+  }
+}
+
+CExpr::~CExpr() = default;
+
+vl::StatusOr<Value> CExpr::Eval(EvalContext* ctx, const RefLookup* refs) const {
+  if (!status_.ok()) {
+    return vl::ParseError(status_.message() + " in '" + text_ + "'");
+  }
+  Evaluator evaluator(ctx, refs);
+  return evaluator.Eval(root_.get());
+}
+
+std::shared_ptr<const CExpr> CompileCExpression(std::string_view text) {
+  return std::shared_ptr<const CExpr>(new CExpr(text));
+}
+
+vl::StatusOr<Value> EvalCExpression(EvalContext* ctx, std::string_view expr,
+                                    const Environment* env) {
+  EnvironmentRefs refs(env);
+  return CompileCExpression(expr)->Eval(ctx, &refs);
 }
 
 }  // namespace dbg

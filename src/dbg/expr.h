@@ -4,8 +4,16 @@
 // indexing, pointer arithmetic, casts to registered types, the usual
 // unary/binary/ternary operators, enumerator and symbol resolution, and calls
 // into registered helper functions (the "GDB scripts exposing static inline
-// kernel functions" of §4). `@name` tokens resolve through a caller-provided
-// environment — that is how ViewCL binds @this and local variables.
+// kernel functions" of §4).
+//
+// An expression is compiled once into an immutable CExpr: its text is lexed
+// and parsed, operators become enums, and NULL/true/false become constants.
+// ViewCL compiles every ${...} when its program is parsed and evaluates the
+// handle on every refresh. A parse error is kept in the handle and reported
+// by each evaluation ("<msg> in '<expr>'"), so a bad expression in a branch
+// that never runs costs nothing. `@name` tokens resolve at evaluation through
+// a caller's RefLookup — ViewCL's walks its scope chain, which is how @this
+// and local variables reach C expressions.
 
 #ifndef SRC_DBG_EXPR_H_
 #define SRC_DBG_EXPR_H_
@@ -57,6 +65,24 @@ class HelperRegistry {
 // Name -> value bindings for @refs (ViewCL scope variables).
 using Environment = std::map<std::string, Value, std::less<>>;
 
+// Resolves `@name` during an evaluation without allocating. Find fills *out
+// and returns true when the name is bound.
+class RefLookup {
+ public:
+  virtual ~RefLookup() = default;
+  virtual bool Find(std::string_view name, Value* out) const = 0;
+};
+
+// A RefLookup over an Environment map; a null map binds nothing.
+class EnvironmentRefs final : public RefLookup {
+ public:
+  explicit EnvironmentRefs(const Environment* env) : env_(env) {}
+  bool Find(std::string_view name, Value* out) const override;
+
+ private:
+  const Environment* env_;
+};
+
 // Everything an expression evaluation needs. Reads flow through a
 // ReadSession (the block-cached front-end API); code that needs raw,
 // per-request-accounted access goes to session()->target() explicitly.
@@ -78,12 +104,40 @@ class EvalContext {
   const HelperRegistry* helpers_;
 };
 
-// Parses and evaluates `expr` against the context. `env` may be nullptr.
+namespace expr_internal {
+struct Node;
+}  // namespace expr_internal
+
+// A compiled C expression. Immutable once built, so one handle may be
+// evaluated any number of times, from any thread.
+class CExpr {
+ public:
+  ~CExpr();
+
+  const std::string& text() const { return text_; }
+  // The parse outcome; when it is an error, every Eval reports it.
+  const vl::Status& status() const { return status_; }
+
+  // Evaluates against the context; `refs` may be nullptr (no @refs bound).
+  vl::StatusOr<Value> Eval(EvalContext* ctx, const RefLookup* refs) const;
+
+ private:
+  friend std::shared_ptr<const CExpr> CompileCExpression(std::string_view text);
+  explicit CExpr(std::string_view text);
+
+  std::string text_;
+  vl::Status status_;
+  std::unique_ptr<const expr_internal::Node> root_;
+};
+
+// Lexes and parses `text` once. Never fails: a syntax error is stored in the
+// handle (see CExpr::status).
+std::shared_ptr<const CExpr> CompileCExpression(std::string_view text);
+
+// Compiles and evaluates `expr` in one go (the shell and tests). `env` may be
+// nullptr.
 vl::StatusOr<Value> EvalCExpression(EvalContext* ctx, std::string_view expr,
                                     const Environment* env);
-
-// Parse-only check (used by ViewCL's front-end for early diagnostics).
-vl::Status CheckCExpression(std::string_view expr);
 
 }  // namespace dbg
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/dbg/expr.h"
 #include "src/support/diag.h"
 
 namespace viewcl {
@@ -68,7 +69,7 @@ struct SwitchCase {
 
 struct Expr {
   enum class Kind {
-    kCExpr,         // ${...}: text
+    kCExpr,         // ${...}: text, compiled into cexpr
     kAtRef,         // @name: text ("this" included)
     kInt,           // ival
     kNull,          // NULL literal
@@ -89,6 +90,7 @@ struct Expr {
   ExprPtr otherwise;                // kSwitch
   std::unique_ptr<ForEachClause> for_each;  // kContainerCtor
   std::unique_ptr<BoxDecl> inline_box;      // kInlineBox
+  std::shared_ptr<const dbg::CExpr> cexpr;  // kCExpr: compiled at parse
   int line = 0;
   vl::Span span;  // the expression's head token
 };

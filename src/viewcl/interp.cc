@@ -59,22 +59,27 @@ class Interpreter::Scope {
  public:
   explicit Scope(const Scope* parent = nullptr) : parent_(parent) {}
 
-  const VclValue* Find(const std::string& name) const {
-    auto it = vars_.find(name);
-    if (it != vars_.end()) {
-      return &it->second;
+  const VclValue* Find(std::string_view name) const {
+    const VclValue* local = FindLocal(name);
+    if (local != nullptr) {
+      return local;
     }
     return parent_ != nullptr ? parent_->Find(name) : nullptr;
+  }
+
+  // This scope's own binding of `name`, ignoring the parents.
+  const VclValue* FindLocal(std::string_view name) const {
+    auto it = vars_.find(name);
+    return it != vars_.end() ? &it->second : nullptr;
   }
 
   void Set(const std::string& name, VclValue value) { vars_[name] = std::move(value); }
 
   const Scope* parent() const { return parent_; }
-  const std::map<std::string, VclValue>& vars() const { return vars_; }
 
  private:
   const Scope* parent_;
-  std::map<std::string, VclValue> vars_;
+  std::map<std::string, VclValue, std::less<>> vars_;
 };
 
 // ---------------------------------------------------------------------------
@@ -190,33 +195,47 @@ class Interpreter::RunState {
 
   vl::StatusOr<uint64_t> ReadPtr(uint64_t addr) { return dbg_->session().ReadUnsigned(addr, 8); }
 
-  // Builds the C-expression environment from the lexical scope chain.
-  dbg::Environment BuildEnv(const Scope* scope) {
-    dbg::Environment env;
-    for (const Scope* s = scope; s != nullptr; s = s->parent()) {
-      for (const auto& [name, value] : s->vars()) {
-        if (env.count(name) != 0) {
-          continue;  // inner scope wins
+  // Resolves a C expression's @refs through the lexical scope chain. The
+  // innermost binding a C expression can use wins: a value, or a
+  // kernel-backed box as a typed pointer. NULL, virtual-box and set bindings
+  // are passed over, so an outer binding of the same name shows through.
+  class ScopeRefs final : public dbg::RefLookup {
+   public:
+    ScopeRefs(RunState* run, const Scope* scope) : run_(run), scope_(scope) {}
+
+    bool Find(std::string_view name, Value* out) const override {
+      for (const Scope* s = scope_; s != nullptr; s = s->parent()) {
+        const VclValue* value = s->FindLocal(name);
+        if (value == nullptr) {
+          continue;
         }
-        if (value.kind == VclValue::Kind::kDbg) {
-          env.emplace(name, value.dbg);
-        } else if (value.kind == VclValue::Kind::kBox) {
-          const VBox* box = graph_->box(value.box);
+        if (value->kind == VclValue::Kind::kDbg) {
+          *out = value->dbg;
+          return true;
+        }
+        if (value->kind == VclValue::Kind::kBox) {
+          const VBox* box = run_->graph_->box(value->box);
           if (box != nullptr && !box->is_virtual()) {
-            const Type* t = dbg_->types().FindByName(box->kernel_type());
+            dbg::TypeRegistry& types = run_->dbg_->types();
+            const Type* t = types.FindByName(box->kernel_type());
             if (t != nullptr) {
-              env.emplace(name, Value::MakePointer(dbg_->types().PointerTo(t), box->addr()));
+              *out = Value::MakePointer(types.PointerTo(t), box->addr());
+              return true;
             }
           }
         }
       }
+      return false;
     }
-    return env;
-  }
 
-  vl::StatusOr<Value> EvalC(const std::string& text, const Scope* scope) {
-    dbg::Environment env = BuildEnv(scope);
-    return dbg::EvalCExpression(ctx_, text, &env);
+   private:
+    RunState* run_;
+    const Scope* scope_;
+  };
+
+  vl::StatusOr<Value> EvalC(const Expr* expr, const Scope* scope) {
+    ScopeRefs refs(this, scope);
+    return expr->cexpr->Eval(ctx_, &refs);
   }
 
   // --- expression evaluation ---
@@ -227,7 +246,7 @@ class Interpreter::RunState {
     }
     switch (expr->kind) {
       case Expr::Kind::kCExpr: {
-        VL_ASSIGN_OR_RETURN(Value v, EvalC(expr->text, scope));
+        VL_ASSIGN_OR_RETURN(Value v, EvalC(expr, scope));
         return VclValue::Dbg(v);
       }
       case Expr::Kind::kAtRef: {

@@ -355,6 +355,7 @@ class ParserImpl {
       case TokKind::kCExpr: {
         ExprPtr e = NewExpr(Expr::Kind::kCExpr, span);
         e->text = Cur().text;
+        e->cexpr = dbg::CompileCExpression(e->text);
         Advance();
         return e;
       }

@@ -39,7 +39,8 @@ struct PExpr {
   enum class Kind { kBail, kNull, kInt, kVar, kEvalC, kThisPath };
   Kind kind = Kind::kBail;
   uint64_t ival = 0;           // kInt
-  std::string text;            // kEvalC source / kVar name
+  std::string text;            // kVar name
+  std::shared_ptr<const dbg::CExpr> cexpr;  // kEvalC
   size_t offset = 0;           // kThisPath: accumulated field offset
   const Type* type = nullptr;  // kThisPath: final field type
   bool address_of = false;     // kThisPath: `&@this....`
@@ -55,7 +56,7 @@ struct PExpr {
       case Kind::kVar:
         return "@" + text;
       case Kind::kEvalC:
-        return "${" + text + "}";
+        return "${" + cexpr->text() + "}";
       case Kind::kThisPath:
         return vl::StrFormat("%s@this+0x%zx:%s", address_of ? "&" : "", offset,
                              type != nullptr ? type->name.c_str() : "?");
@@ -388,26 +389,30 @@ class Compiler {
         out.text = expr->text;
         return out;
       case Expr::Kind::kCExpr:
-        return CompileCExpr(expr->text, this_type);
-      case Expr::Kind::kFieldPath:
-        return CompilePath(expr->path, false, this_type,
-                           "@this." + vl::StrJoin(expr->path, "."));
+        return CompileCExpr(expr, this_type);
+      case Expr::Kind::kFieldPath: {
+        std::optional<PExpr> path = CompilePath(expr->path, false, this_type);
+        if (path.has_value()) {
+          return *path;
+        }
+        return MakeEvalC(dbg::CompileCExpression("@this." + vl::StrJoin(expr->path, ".")));
+      }
       default:
         return out;  // kBail: structural expressions are not values here
     }
   }
 
-  static PExpr MakeEvalC(std::string text) {
+  static PExpr MakeEvalC(std::shared_ptr<const dbg::CExpr> cexpr) {
     PExpr out;
     out.kind = PExpr::Kind::kEvalC;
-    out.text = std::move(text);
+    out.cexpr = std::move(cexpr);
     return out;
   }
 
   // Pattern-compiles `[&]@this(.field)*` texts to typed offsets; everything
-  // else stays a (cache-warm) evaluator call.
-  PExpr CompileCExpr(const std::string& text, const Type* this_type) {
-    std::string_view s = text;
+  // else stays a (cache-warm) evaluation of the expression's compiled handle.
+  PExpr CompileCExpr(const Expr* expr, const Type* this_type) {
+    std::string_view s = expr->text;
     while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
       s.remove_prefix(1);
     }
@@ -422,13 +427,13 @@ class Compiler {
       }
     }
     if (s.rfind("@this", 0) != 0) {
-      return MakeEvalC(text);
+      return MakeEvalC(expr->cexpr);
     }
     s.remove_prefix(5);
     std::vector<std::string> path;
     while (!s.empty()) {
       if (s.front() != '.') {
-        return MakeEvalC(text);
+        return MakeEvalC(expr->cexpr);
       }
       s.remove_prefix(1);
       size_t i = 0;
@@ -437,7 +442,7 @@ class Compiler {
         ++i;
       }
       if (i == 0) {
-        return MakeEvalC(text);
+        return MakeEvalC(expr->cexpr);
       }
       path.emplace_back(s.substr(0, i));
       s.remove_prefix(i);
@@ -448,13 +453,16 @@ class Compiler {
       out.text = "this";
       return out;
     }
-    return CompilePath(path, address_of, this_type, text);
+    std::optional<PExpr> compiled = CompilePath(path, address_of, this_type);
+    return compiled.has_value() ? *compiled : MakeEvalC(expr->cexpr);
   }
 
-  PExpr CompilePath(const std::vector<std::string>& path, bool address_of,
-                    const Type* this_type, const std::string& fallback) {
+  // Typed offsets for a member chain off @this; nullopt when the chain needs
+  // evaluator semantics.
+  std::optional<PExpr> CompilePath(const std::vector<std::string>& path, bool address_of,
+                                   const Type* this_type) {
     if (this_type == nullptr) {
-      return MakeEvalC(fallback);
+      return std::nullopt;
     }
     const Type* t = this_type;
     size_t offset = 0;
@@ -463,11 +471,11 @@ class Compiler {
       // array mid-path needs evaluator semantics (auto-deref, indexing).
       if (t == nullptr ||
           (t->kind != TypeKind::kStruct && t->kind != TypeKind::kUnion)) {
-        return MakeEvalC(fallback);
+        return std::nullopt;
       }
       const dbg::Field* f = t->FindField(seg);
       if (f == nullptr) {
-        return MakeEvalC(fallback);
+        return std::nullopt;
       }
       offset += f->offset;
       t = f->type;
@@ -1457,8 +1465,8 @@ class Executor {
         return Value::MakeLValue(e.type, addr);
       }
       case PExpr::Kind::kEvalC: {
-        vl::StatusOr<Value> v =
-            dbg::EvalCExpression(&dbg_->context(), e.text, &env);
+        dbg::EnvironmentRefs refs(&env);
+        vl::StatusOr<Value> v = e.cexpr->Eval(&dbg_->context(), &refs);
         if (!v.ok()) {
           return std::nullopt;
         }

@@ -211,14 +211,16 @@ class ExecState {
       }
       return CompareInt(member.num, expr);
     }
-    // 3. Raw kernel field through the debugger.
+    // 3. Raw kernel field through the debugger: the member chain off the
+    // box's object, as `${@this.<member>}` would evaluate it.
     if (engine_->debugger_ != nullptr && !box.is_virtual()) {
       const dbg::Type* type = engine_->debugger_->types().FindByName(box.kernel_type());
       if (type != nullptr) {
-        dbg::Environment env;
-        env.emplace("this", dbg::Value::MakeLValue(type, box.addr()));
-        std::string c_expr = "@this." + joined;
-        auto value = engine_->debugger_->Eval(c_expr, &env);
+        vl::StatusOr<dbg::Value> value = dbg::Value::MakeLValue(type, box.addr());
+        for (size_t i = 0; i < expr.member.size() && value.ok(); ++i) {
+          value = value->Member(&engine_->debugger_->session(), &engine_->debugger_->types(),
+                                expr.member[i]);
+        }
         if (value.ok()) {
           auto loaded = value->Load(&engine_->debugger_->session());
           if (loaded.ok()) {

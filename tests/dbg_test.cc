@@ -245,9 +245,9 @@ TEST_F(DbgTest, RbNodeColorCompactionHelpers) {
 }
 
 TEST_F(DbgTest, CheckExpressionParseOnly) {
-  EXPECT_TRUE(CheckCExpression("a.b->c[3] + foo(1,2) ? x : y").ok());
-  EXPECT_FALSE(CheckCExpression("a + / b").ok());
-  EXPECT_FALSE(CheckCExpression("(a").ok());
+  EXPECT_TRUE(CompileCExpression("a.b->c[3] + foo(1,2) ? x : y")->status().ok());
+  EXPECT_FALSE(CompileCExpression("a + / b")->status().ok());
+  EXPECT_FALSE(CompileCExpression("(a")->status().ok());
 }
 
 }  // namespace

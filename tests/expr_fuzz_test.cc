@@ -132,6 +132,39 @@ TEST_F(ExprFuzzTest, RandomExpressionsMatchOracle) {
   }
 }
 
+// One compiled handle is evaluated many times: every evaluation must agree
+// with the oracle, so nothing in the handle drifts between evaluations.
+TEST_F(ExprFuzzTest, CompiledHandleMatchesOracleOnEveryEvaluation) {
+  ExprGen gen(0xc0ffee);
+  for (int i = 0; i < 300; ++i) {
+    ExprGen::Node node = gen.Gen(5);
+    std::shared_ptr<const CExpr> compiled = CompileCExpression(node.text);
+    ASSERT_TRUE(compiled->status().ok()) << node.text;
+    for (int round = 0; round < 4; ++round) {
+      auto result = compiled->Eval(&debugger_->context(), nullptr);
+      ASSERT_TRUE(result.ok()) << node.text << ": " << result.status().ToString();
+      auto loaded = result->Load(&debugger_->session());
+      ASSERT_TRUE(loaded.ok()) << node.text;
+      EXPECT_EQ(loaded->bits(), node.value) << node.text << " (evaluation " << round << ")";
+    }
+  }
+}
+
+// A handle whose text does not parse reports the parse error, in the
+// one-shot engine's wording, on every evaluation.
+TEST_F(ExprFuzzTest, CompiledHandleKeepsItsParseError) {
+  std::shared_ptr<const CExpr> compiled = CompileCExpression("1 + / 2");
+  ASSERT_FALSE(compiled->status().ok());
+  for (int round = 0; round < 2; ++round) {
+    auto result = compiled->Eval(&debugger_->context(), nullptr);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().ToString(),
+              "PARSE_ERROR: expected an expression (near position 4) in '1 + / 2'");
+  }
+  EXPECT_EQ(debugger_->Eval("1 + / 2").status().ToString(),
+            compiled->Eval(&debugger_->context(), nullptr).status().ToString());
+}
+
 TEST_F(ExprFuzzTest, DeepNestingParses) {
   // 64 levels of parenthesized addition.
   std::string expr = "1";

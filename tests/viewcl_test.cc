@@ -432,6 +432,151 @@ TEST_F(ViewClTest, ReachableComputesClosure) {
   EXPECT_EQ(reach.size(), 3u);
 }
 
+// Counts kCExpr nodes under `e`, and those among them with a compiled handle.
+void CountCExprs(const Expr* e, int* total, int* compiled);
+
+void CountBoxCExprs(const BoxDecl& decl, int* total, int* compiled) {
+  for (const Binding& b : decl.where) {
+    CountCExprs(b.value.get(), total, compiled);
+  }
+  for (const ViewDecl& view : decl.views) {
+    for (const ItemDecl& item : view.items) {
+      CountCExprs(item.value.get(), total, compiled);
+    }
+    for (const Binding& b : view.where) {
+      CountCExprs(b.value.get(), total, compiled);
+    }
+  }
+}
+
+void CountCExprs(const Expr* e, int* total, int* compiled) {
+  if (e == nullptr) {
+    return;
+  }
+  if (e->kind == Expr::Kind::kCExpr) {
+    ++*total;
+    if (e->cexpr != nullptr && e->cexpr->text() == e->text) {
+      ++*compiled;
+    }
+  }
+  for (const ExprPtr& kid : e->kids) {
+    CountCExprs(kid.get(), total, compiled);
+  }
+  for (const SwitchCase& sc : e->cases) {
+    for (const ExprPtr& label : sc.labels) {
+      CountCExprs(label.get(), total, compiled);
+    }
+    CountCExprs(sc.body.get(), total, compiled);
+  }
+  CountCExprs(e->otherwise.get(), total, compiled);
+  if (e->for_each != nullptr) {
+    for (const Binding& b : e->for_each->bindings) {
+      CountCExprs(b.value.get(), total, compiled);
+    }
+    CountCExprs(e->for_each->yield.get(), total, compiled);
+  }
+  if (e->inline_box != nullptr) {
+    CountBoxCExprs(*e->inline_box, total, compiled);
+  }
+}
+
+TEST_F(ViewClTest, ParserCompilesEveryCExpr) {
+  auto program = ParseViewCl(R"(
+    define Task as Box<task_struct> {
+      :default [
+        Text pid
+        Text v: ${@this.pid + 1}
+        Link parent -> Task(${@this.parent})
+      ] where { w = ${@this.tgid} }
+    } where { x = ${@this.pid + 7} }
+    kids = List(${&init_task.children}).forEach |node| {
+      t = Task<task_struct.sibling>(@node)
+      n = ${1 + / 2}
+      yield Box [ Text a: ${2}  Link child -> @t ]
+    }
+    s = switch ${1} {
+      case ${2}, ${3}: Task(${&init_task})
+      otherwise: ${0}
+    }
+    plot Task(${&init_task})
+  )");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  int total = 0;
+  int compiled = 0;
+  for (const auto& decl : program->defines) {
+    CountBoxCExprs(*decl, &total, &compiled);
+  }
+  for (const Binding& b : program->bindings) {
+    CountCExprs(b.value.get(), &total, &compiled);
+  }
+  for (const ExprPtr& plot : program->plots) {
+    CountCExprs(plot.get(), &total, &compiled);
+  }
+  EXPECT_EQ(total, 13);
+  EXPECT_EQ(compiled, total);
+}
+
+// A ${} syntax error is reported by the evaluation that reaches it, not at
+// load: in an untaken switch arm the program runs clean; taken, it warns.
+TEST_F(ViewClTest, CExprSyntaxErrorSurfacesOnlyWhenEvaluated) {
+  auto untaken = MustRun(R"(
+    define A as Box<task_struct> [ Text pid ]
+    x = switch ${1} {
+      case ${2}: ${1 + / 2}
+      otherwise: A(${&init_task})
+    }
+    plot @x
+  )");
+  ASSERT_NE(untaken, nullptr);
+  EXPECT_EQ(untaken->roots().size(), 1u);
+  EXPECT_TRUE(interp_->warnings().empty());
+
+  interp_ = std::make_unique<Interpreter>(debugger_.get());
+  auto taken = MustRun(R"(
+    define A as Box<task_struct> [ Text pid ]
+    x = switch ${2} {
+      case ${2}: ${1 + / 2}
+      otherwise: A(${&init_task})
+    }
+    plot @x
+  )");
+  ASSERT_NE(taken, nullptr);
+  ASSERT_FALSE(interp_->warnings().empty());
+  EXPECT_EQ(interp_->warnings()[0],
+            "binding 'x': PARSE_ERROR: expected an expression (near position 4) in "
+            "'1 + / 2'");
+}
+
+// @refs inside ${} resolve through the scope chain: the innermost usable
+// binding wins, and a binding a C expression cannot use (NULL, a virtual
+// box) is passed over so the outer binding of the same name shows through.
+TEST_F(ViewClTest, CExprRefsSkipUnusableInnerBindings) {
+  auto graph = MustRun(R"(
+    define Other as Box<task_struct> [ Text pid ]
+    define Task as Box<task_struct> {
+      :outer [ Text v: ${@x + 0} ]
+      :null [ Text v: ${@x + 0} ] where { x = NULL }
+      :virt [ Text v: ${@x + 0} ] where { x = Box [ Text a: ${1} ] }
+      :box [ Text v: ${@x->pid + 5} ] where { x = Other(${&init_task}) }
+      :inner [ Text v: ${@x + 0} ] where { x = ${@this.pid + 40} }
+    } where { x = ${@this.pid + 7} }
+    plot Task(${&init_task})
+  )");
+  ASSERT_NE(graph, nullptr);
+  const VBox* box = graph->box(graph->roots()[0]);
+  ASSERT_NE(box, nullptr);
+  std::map<std::string, std::string> shown;
+  for (const ViewInstance& view : box->views()) {
+    ASSERT_FALSE(view.texts.empty()) << view.name;
+    shown[view.name] = view.texts[0].display;
+  }
+  EXPECT_EQ(shown["outer"], "7");
+  EXPECT_EQ(shown["null"], "7");
+  EXPECT_EQ(shown["virt"], "7");
+  EXPECT_EQ(shown["box"], "5");
+  EXPECT_EQ(shown["inner"], "40");
+}
+
 // Parameterized: every workload process's VMA count must match between the
 // kernel and the distilled ViewCL container.
 class ViewClProcessSweep : public ViewClTest, public ::testing::WithParamInterface<int> {};
