@@ -12,7 +12,6 @@
 //
 //   $ ./interactive_debugger --demo
 //   $ ./interactive_debugger            # type 'help' for commands
-//   $ ./interactive_debugger --classic  # classic full-flush cache invalidation
 
 #include <cstdio>
 #include <cstring>
@@ -73,10 +72,8 @@ int main(int argc, char** argv) {
   std::printf("=== Visualinux-CPP interactive debugger ===\n");
   std::printf("booting the kernel and running the workload...\n\n");
   bool demo = false;
-  bool classic = false;
   for (int i = 1; i < argc; ++i) {
     demo = demo || std::strcmp(argv[i], "--demo") == 0;
-    classic = classic || std::strcmp(argv[i], "--classic") == 0;
   }
 
   // The vserve front end: boot the simulated kernel as a shard, then attach
@@ -88,11 +85,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "boot failed: %s\n", booted.ToString().c_str());
     return 1;
   }
-  vserve::SessionOptions options;  // serving defaults: incremental + dedup
-  if (classic) {
-    options = vserve::SessionOptions::Classic();
-  }
-  auto client = server.Connect(options);
+  auto client = server.Connect();
   if (!client.ok()) {
     std::fprintf(stderr, "connect failed: %s\n", client.status().ToString().c_str());
     return 1;

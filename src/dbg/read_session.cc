@@ -11,6 +11,10 @@ namespace dbg {
 
 namespace {
 
+// Above this fraction of dirty pages, a block-wise refresh re-fetches most of
+// the cache; one flush is cheaper and just as correct.
+constexpr double kMaxDirtyRatio = 0.5;
+
 // Smallest power of two >= n (n > 0), capped to keep shifts sane.
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
@@ -136,7 +140,7 @@ void ReadSession::ApplyDirtyInfo(const DirtyPageInfo& info, uint64_t now) {
                      ? static_cast<double>(info.dirty_pages.size()) /
                            static_cast<double>(info.pages_total)
                      : 1.0;
-  if (ratio > config_.max_dirty_ratio) {
+  if (ratio > kMaxDirtyRatio) {
     // Too much moved: a block-wise refresh would re-fetch most of the
     // cache. One flush is cheaper and just as correct.
     FullInvalidate();

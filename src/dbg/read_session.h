@@ -40,12 +40,10 @@
 
 namespace dbg {
 
-// NOTE: for client-facing code this struct is superseded by
-// vserve::SessionOptions (src/serve/options.h), which consolidates the cache
-// fields with the render/engine/dedup/admission knobs and validates the
-// combination fail-fast. CacheConfig remains the dbg-layer carrier that
-// SessionOptions lowers to (ToCacheConfig/FromCacheConfig); construct it
-// directly only when wiring a bare KernelDebugger without the serving layer.
+// Block-cache configuration of one ReadSession. A served shard always runs
+// Incremental() at the session's vserve::SessionOptions::capacity_blocks
+// (src/serve/options.h); construct other configs only when wiring a bare
+// KernelDebugger without the serving layer.
 struct CacheConfig {
   // Aligned fetch granularity in bytes (rounded up to a power of two).
   // 0 disables caching entirely: the session becomes a passthrough whose
@@ -57,16 +55,13 @@ struct CacheConfig {
   // epoch change, query the target's dirty-page log and refresh only the
   // cached blocks overlapping dirty pages, re-fetching them in one vectored
   // batch charged to whoever syncs the epoch. Falls back to a whole-cache
-  // flush when the domain has no dirty log or the dirty ratio exceeds
-  // max_dirty_ratio.
+  // flush when the domain has no dirty log or more than half its pages are
+  // dirty.
   // Off by default, so the classic contract (full flush per epoch) stays
   // exact for existing sessions. NOTE: code that mutates target memory
   // out-of-band must bump the memory generation — a bare InvalidateAll() is
   // not enough once page-epoch consumers (viewcl memoization) are attached.
   bool delta_invalidation = false;
-  // Above this fraction of dirty pages, a block-wise refresh re-fetches most
-  // of the cache; one flush is cheaper and just as correct.
-  double max_dirty_ratio = 0.5;
 
   static CacheConfig Disabled() { return CacheConfig{0, 0}; }
   // Block cache + dirty-log delta invalidation (incremental refresh).
@@ -75,6 +70,8 @@ struct CacheConfig {
     config.delta_invalidation = true;
     return config;
   }
+
+  bool operator==(const CacheConfig&) const = default;
 };
 
 // Byte-level hit/miss accounting for one session. Field names follow the

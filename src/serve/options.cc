@@ -4,55 +4,11 @@
 
 namespace vserve {
 
-SessionOptions SessionOptions::Classic() { return FromCacheConfig(dbg::CacheConfig{}); }
-
-SessionOptions SessionOptions::FromCacheConfig(const dbg::CacheConfig& config) {
-  SessionOptions options;
-  options.block_bytes = config.block_bytes;
-  options.capacity_blocks = config.capacity_blocks;
-  options.incremental = config.delta_invalidation;
-  options.max_dirty_ratio = config.max_dirty_ratio;
-  options.shared_engines = false;
-  options.coalesce = false;
-  options.compile_plans = false;  // classic = pure interpretation
-  return options;
-}
-
-dbg::CacheConfig SessionOptions::ToCacheConfig() const {
-  dbg::CacheConfig config;
-  config.block_bytes = block_bytes;
-  config.capacity_blocks = capacity_blocks;
-  config.delta_invalidation = incremental;
-  config.max_dirty_ratio = max_dirty_ratio;
-  return config;
-}
-
-bool SameCacheConfig(const dbg::CacheConfig& a, const dbg::CacheConfig& b) {
-  return a.block_bytes == b.block_bytes && a.capacity_blocks == b.capacity_blocks &&
-         a.delta_invalidation == b.delta_invalidation &&
-         a.max_dirty_ratio == b.max_dirty_ratio;
-}
-
-bool SessionOptions::CacheCompatibleWith(const SessionOptions& other) const {
-  return SameCacheConfig(ToCacheConfig(), other.ToCacheConfig());
-}
-
 vl::DiagnosticList SessionOptions::Validate() const {
   vl::DiagnosticList diags;
-  if (incremental && block_bytes == 0) {
-    diags.AddRule("VS001", vl::Severity::kError, vl::Span{},
-                  "incremental refresh requires a block cache (block_bytes > 0); "
-                  "set incremental=false or block_bytes>=1");
-  }
-  if (block_bytes != 0 && capacity_blocks == 0) {
+  if (capacity_blocks == 0) {
     diags.AddRule("VS002", vl::Severity::kError, vl::Span{},
-                  "a block cache needs capacity_blocks > 0 "
-                  "(use block_bytes=0 to disable caching entirely)");
-  }
-  if (max_dirty_ratio < 0.0 || max_dirty_ratio > 1.0) {
-    diags.AddRule("VS003", vl::Severity::kError, vl::Span{},
-                  vl::StrFormat("max_dirty_ratio must be within [0, 1], got %g",
-                                max_dirty_ratio));
+                  "the block cache needs capacity_blocks > 0");
   }
   if (max_queued == 0) {
     diags.AddRule("VS004", vl::Severity::kError, vl::Span{},
@@ -63,12 +19,6 @@ vl::DiagnosticList SessionOptions::Validate() const {
     diags.AddRule("VS005", vl::Severity::kError, vl::Span{},
                   "shard names may not contain '|' or whitespace "
                   "(they key stats and metrics series)");
-  }
-  if (block_bytes != 0 && (block_bytes & (block_bytes - 1)) != 0) {
-    diags.AddRule("VS006", vl::Severity::kWarning, vl::Span{},
-                  vl::StrFormat("block_bytes=%zu is rounded up to the next power of two "
-                                "by the read session",
-                                block_bytes));
   }
   diags.Sort();
   return diags;

@@ -1,13 +1,12 @@
-// vserve session configuration (the serving layer's half of the API redesign).
+// vserve session configuration.
 //
-// Before vserve there were three separate knobs controlling what a client's
-// refreshes cost: dbg::CacheConfig (block cache), CacheConfig::Incremental()
-// (dirty-log delta invalidation), and the pane layer's render digest cache.
-// SessionOptions consolidates all of them into one validated struct that a
-// client hands to Server::Connect. Validation is vlint-style fail-fast: every
-// invalid combination gets a stable rule ID (VS001...) and a one-line
-// diagnostic, and Connect refuses the session instead of silently "fixing"
-// the options.
+// A served session has one behaviour: shared per-shard engines, request
+// coalescing, extraction plans, the render-digest cache and dirty-log
+// incremental invalidation over the shard's block cache. SessionOptions
+// carries only what a client may choose on top of that: the cache capacity,
+// placement and admission control. Validation is vlint-style fail-fast: every
+// invalid value gets a stable rule ID (VS002...) and a one-line diagnostic,
+// and Connect refuses the session instead of silently "fixing" the options.
 
 #ifndef SRC_SERVE_OPTIONS_H_
 #define SRC_SERVE_OPTIONS_H_
@@ -16,49 +15,15 @@
 #include <cstdint>
 #include <string>
 
-#include "src/dbg/read_session.h"
 #include "src/support/diag.h"
 
 namespace vserve {
 
 struct SessionOptions {
-  // --- shared extraction cache (replaces direct dbg::CacheConfig use) ---
-  // Aligned fetch granularity of the shard's ReadSession; 0 disables block
-  // caching entirely (every read is a raw transport round trip).
-  size_t block_bytes = 256;
-  // LRU capacity in blocks.
+  // LRU capacity of the shard's block cache, in blocks. The shard runs
+  // dbg::CacheConfig::Incremental() at this capacity; sessions sharing a
+  // shard must agree on it.
   size_t capacity_blocks = 4096;
-  // Dirty-log delta invalidation (the old CacheConfig::Incremental()): on a
-  // kernel mutation epoch, evict only blocks overlapping dirty pages. This is
-  // the serving default — multi-client dashboards live on incremental
-  // refresh.
-  bool incremental = true;
-  // Above this fraction of dirty pages a full flush is cheaper than
-  // block-wise eviction.
-  double max_dirty_ratio = 0.5;
-
-  // --- render ---
-  // Digest-keyed render memo per pane (the old per-pane render-cache
-  // behavior, now a session-level switch).
-  bool render_cache = true;
-
-  // --- extraction engines & request dedup ---
-  // Per-program shard engines: ViewCL programs are loaded once per shard and
-  // re-Run() on refresh, so interning/memo snapshots persist across refreshes
-  // and are shared by every session plotting the same figure. false restores
-  // the classic single-user semantics (a private interpreter that re-loads
-  // the program on every replot) — the compat path for pre-vserve shells.
-  bool shared_engines = true;
-  // Coalesce identical concurrent work: refreshes of the same (figure,
-  // epoch, backend) are served once and fanned out from the shard's result
-  // cache. false restores classic always-re-extract semantics.
-  bool coalesce = true;
-  // Compile loaded ViewCL into typed extraction plans and run them as a
-  // batched prefetch pass (vectored transport reads) before each
-  // interpretation — docs/caching.md#extraction-plans. Serving default; only
-  // engages when the shard has a block cache, and programs the linter
-  // diagnoses fall back to pure interpretation automatically.
-  bool compile_plans = true;
 
   // --- placement & admission control ---
   // Shard to attach to; "" picks one round-robin across the server's shards.
@@ -72,33 +37,16 @@ struct SessionOptions {
   // rejects with RESOURCE_EXHAUSTED.
   size_t max_queued = 16;
 
-  // The pre-vserve single-user defaults (classic CacheConfig, private
-  // engine, no dedup) — what DebuggerShell's compat constructor uses.
-  static SessionOptions Classic();
-  // Adopts a live ReadSession's CacheConfig (plus classic engine/dedup
-  // semantics), so attaching to an existing debugger never reconfigures it.
-  static SessionOptions FromCacheConfig(const dbg::CacheConfig& config);
-  // The cache fields as the dbg layer's config struct.
-  dbg::CacheConfig ToCacheConfig() const;
-  // True when both sets of cache fields agree — the requirement for two
-  // sessions to share one shard ReadSession.
-  bool CacheCompatibleWith(const SessionOptions& other) const;
-
-  // Fail-fast diagnostics, stable rule IDs:
-  //   VS001 error   incremental refresh requires a block cache (block_bytes>0)
-  //   VS002 error   a block cache needs capacity_blocks > 0
-  //   VS003 error   max_dirty_ratio outside [0, 1]
+  // Fail-fast diagnostics, stable rule IDs (VS001, VS003 and VS006 are
+  // retired with the options they checked; the IDs are not reused):
+  //   VS002 error   the block cache needs capacity_blocks > 0
   //   VS004 error   max_queued must be >= 1
   //   VS005 error   shard names may not contain '|' or whitespace
-  //   VS006 warning block_bytes is rounded up to a power of two
   vl::DiagnosticList Validate() const;
   // "" when there are no errors; else one rendered diagnostic per line
-  // ("error[VS003]: ...").
+  // ("error[VS002]: ...").
   std::string ValidationText() const;
 };
-
-// True when the two dbg-layer configs describe the same cache behavior.
-bool SameCacheConfig(const dbg::CacheConfig& a, const dbg::CacheConfig& b);
 
 }  // namespace vserve
 

@@ -67,23 +67,19 @@ vl::Status ValidateShardName(const std::string& name) {
   return vl::Status::Ok();
 }
 
-// Builds an extraction engine honoring the session's plan option. When plans
-// are on, a linter-backed gate keeps statically diagnosed programs on the
-// classic interpretation path (the speculative executor never sees them).
-std::unique_ptr<viewcl::Interpreter> MakeEngine(dbg::KernelDebugger* debugger,
-                                                const SessionOptions& options) {
+// Builds a shard extraction engine with plans on. A linter-backed gate keeps
+// statically diagnosed programs on the pure interpretation path (the
+// speculative executor never sees them).
+std::unique_ptr<viewcl::Interpreter> MakeEngine(dbg::KernelDebugger* debugger) {
   viewcl::InterpLimits limits;
-  limits.compile_plans = options.compile_plans;
+  limits.compile_plans = true;
   auto engine = std::make_unique<viewcl::Interpreter>(debugger, limits);
-  if (options.compile_plans) {
-    viewcl::Interpreter* raw = engine.get();
-    engine->SetPlanGate(
-        [debugger, raw](const viewcl::Program& program, std::string_view source) {
-          analysis::Linter linter(&debugger->types(), &debugger->symbols(),
-                                  &debugger->helpers(), &raw->emoji());
-          return linter.LintViewCl(program, source).diagnostics.errors() == 0;
-        });
-  }
+  viewcl::Interpreter* raw = engine.get();
+  engine->SetPlanGate([debugger, raw](const viewcl::Program& program, std::string_view source) {
+    analysis::Linter linter(&debugger->types(), &debugger->symbols(), &debugger->helpers(),
+                            &raw->emoji());
+    return linter.LintViewCl(program, source).diagnostics.errors() == 0;
+  });
   return engine;
 }
 
@@ -120,21 +116,11 @@ Session::Session(Server* server, internal::Shard* shard, SessionOptions options,
       debugger_(shard->debugger),
       panes_(shard->debugger) {
   panes_.AttachObservers(&recorder_, &budgets_);
-  panes_.set_render_cache_enabled(options_.render_cache);
 }
 
 Session::~Session() { server_->CancelSession(this); }
 
 const std::string& Session::shard_name() const { return shard_->name; }
-
-viewcl::Interpreter* Session::classic_engine() {
-  if (classic_engine_ == nullptr) {
-    classic_engine_ = MakeEngine(debugger_, options_);
-  }
-  return classic_engine_.get();
-}
-
-viewcl::EmojiRegistry& Session::emoji() { return classic_engine()->emoji(); }
 
 vl::StatusOr<Session::PlotResult> Session::Plot(int pane, const std::string& program) {
   std::unique_ptr<viewcl::ViewGraph> graph;
@@ -359,16 +345,17 @@ vl::StatusOr<Client> Server::Connect(SessionOptions options) {
     shard = shards_[round_robin_ % shards_.size()].get();
     round_robin_++;
   }
-  // Sessions sharing a shard share its ReadSession, so their cache configs
-  // must agree. An empty shard adopts the newcomer's config; an occupied one
+  // Sessions sharing a shard share its ReadSession, so their capacities must
+  // agree. An empty shard adopts the newcomer's config; an occupied one
   // refuses a mismatch (reconfiguring would flush caches out from under the
   // sessions relying on them).
-  dbg::CacheConfig want = options.ToCacheConfig();
-  if (!SameCacheConfig(shard->debugger->session().config(), want)) {
+  dbg::CacheConfig want = dbg::CacheConfig::Incremental();
+  want.capacity_blocks = options.capacity_blocks;
+  if (shard->debugger->session().config() != want) {
     if (shard->sessions > 0) {
       return vl::FailedPreconditionError(vl::StrFormat(
           "cache config conflicts with %zu active session(s) on shard '%s'; "
-          "use matching SessionOptions or another shard",
+          "use a matching capacity_blocks or another shard",
           shard->sessions, shard->name.c_str()));
     }
     // Reconfiguring reads through the target (cache re-prime), so it charges
@@ -584,10 +571,10 @@ std::string Server::DedupKey(Session* session, int pane, const std::string& back
     return "";  // nothing to coalesce (empty or secondary pane)
   }
   std::string key = vl::StrFormat(
-      "%llu|%s|%d%d%d|se%d|",
+      "%llu|%s|%d%d%d|",
       static_cast<unsigned long long>(session->debugger_->kernel()->generation()),
       backend.c_str(), options.show_addresses ? 1 : 0, options.show_attributes ? 1 : 0,
-      options.max_container_preview, session->options_.shared_engines ? 1 : 0);
+      options.max_container_preview);
   key += program;
   key += '\x1e';
   const std::vector<std::string>* history = session->panes_.viewql_history(pane);
@@ -619,23 +606,10 @@ ServeResult Server::ServeFromCacheLocked(Session* session, internal::Shard* shar
 vl::StatusOr<std::unique_ptr<viewcl::ViewGraph>> Server::ReplotLocked(
     Session* session, const std::string& program) {
   session->last_warnings_.clear();
-  if (!session->options_.shared_engines) {
-    // Classic semantics: one private interpreter that re-loads the program on
-    // every replot (exactly the pre-vserve DebuggerShell behavior, including
-    // binding accumulation across panes).
-    viewcl::Interpreter* engine = session->classic_engine();
-    uint64_t memo_before = engine->memo_replays();
-    auto result = engine->RunProgram(program);
-    session->last_warnings_ = engine->warnings();
-    session->last_memo_replays_ = engine->memo_replays() - memo_before;
-    return result;
-  }
   internal::Shard* shard = session->shard_;
   std::unique_ptr<viewcl::Interpreter>& slot = shard->engines[program];
   if (slot == nullptr) {
-    // The first session to plot a program fixes the shared engine's plan
-    // setting (sessions already agree on the cache config to share a shard).
-    slot = MakeEngine(shard->debugger, session->options_);
+    slot = MakeEngine(shard->debugger);
     vl::Status loaded = slot->Load(program);
     if (!loaded.ok()) {
       shard->engines.erase(program);
@@ -701,23 +675,20 @@ vl::StatusOr<ServeResult> Server::ExecuteRefresh(const Request& req) {
   }
 
   internal::Shard* shard = session->shard_;
-  std::string key;
-  if (session->options_.coalesce) {
-    key = DedupKey(session, pane, backend, options);
-    if (!key.empty()) {
-      std::lock_guard<std::mutex> cache_lock(shard->cache_mu);
-      if (const ServeResult* hit = shard->cache.Find(key)) {
-        ServeResult out = ServeFromCacheLocked(session, shard, *hit, req.request_id);
-        if (record) {
-          flight.outcome = FlightOutcome::kDedupHit;
-          flight.leader_request_id = out.leader_request_id;
-          flight.epoch = out.epoch;
-          flight.boxes = out.boxes;
-          flight.finished_ns = clock_now();
-          flights_.Finish(std::move(flight));
-        }
-        return out;
+  const std::string key = DedupKey(session, pane, backend, options);
+  if (!key.empty()) {
+    std::lock_guard<std::mutex> cache_lock(shard->cache_mu);
+    if (const ServeResult* hit = shard->cache.Find(key)) {
+      ServeResult out = ServeFromCacheLocked(session, shard, *hit, req.request_id);
+      if (record) {
+        flight.outcome = FlightOutcome::kDedupHit;
+        flight.leader_request_id = out.leader_request_id;
+        flight.epoch = out.epoch;
+        flight.boxes = out.boxes;
+        flight.finished_ns = clock_now();
+        flights_.Finish(std::move(flight));
       }
+      return out;
     }
   }
 
@@ -765,12 +736,9 @@ vl::StatusOr<ServeResult> Server::ExecuteRefresh(const Request& req) {
   out.epoch = refreshed->epoch;
   out.render_reused = refreshed->render_reused;
   out.violations = refreshed->violations;
-  if (session->options_.coalesce) {
-    // Capture the render so a coalesced duplicate can be served bytes, not
-    // just accounting. Classic sessions skip this to keep their render
-    // digest counters exactly as the pre-vserve shell left them.
-    out.render = session->panes_.RenderPane(pane, options, backend);
-  }
+  // Capture the render so a coalesced duplicate can be served bytes, not just
+  // accounting.
+  out.render = session->panes_.RenderPane(pane, options, backend);
   uint64_t after = clock_now();
   out.refresh_ns = after - before;
   out.sequence = NextSequence();
@@ -872,10 +840,6 @@ vl::Json Server::StatsToJson() const {
 vl::Json Server::PlanJson(Session* session, const std::string& program) {
   internal::Shard* shard = session->shard_;
   std::lock_guard<std::mutex> lock(shard->mu);
-  if (!session->options_.shared_engines) {
-    viewcl::Interpreter* engine = session->classic_engine_.get();
-    return engine != nullptr ? engine->PlanToJson() : vl::Json::Null();
-  }
   auto it = shard->engines.find(program);
   if (it == shard->engines.end()) {
     return vl::Json::Null();

@@ -1,4 +1,4 @@
-// vserve: the multi-session serving layer (the PR's tentpole).
+// vserve: the multi-session serving layer.
 //
 // A Server fronts a fleet of simulated kernels ("shards"). Each shard is one
 // dbg::KernelDebugger — its ReadSession block cache, its per-program ViewCL
@@ -12,9 +12,9 @@
 // Request flow for Refresh:
 //   1. admission — a session over its latency budget is rejected with
 //      RESOURCE_EXHAUSTED (and the violation recorded for vexplain);
-//   2. dedup — with coalescing on, the shard result cache is consulted for an
-//      identical (program+history, epoch, backend) refresh; a hit is served
-//      with zero charge;
+//   2. dedup — the shard result cache is consulted for an identical
+//      (program+history, epoch, backend) refresh; a hit is served with zero
+//      charge;
 //   3. extraction — otherwise the refresh runs under the shard lock through
 //      PaneManager::RefreshPane (so a concurrent duplicate blocks, and finds
 //      the freshly inserted result on the re-check — that is the coalescing).
@@ -123,8 +123,8 @@ class Session {
     size_t boxes = 0;
     std::vector<std::string> warnings;
   };
-  // Extracts `program` through the shard engine (or this session's classic
-  // engine, per options) and installs the graph into `pane`.
+  // Extracts `program` through the shard engine and installs the graph into
+  // `pane`.
   vl::StatusOr<PlotResult> Plot(int pane, const std::string& program);
   // Applies a ViewQL refinement to the pane (recorded; replayed on refresh).
   vl::Status Apply(int pane, std::string_view viewql);
@@ -157,7 +157,7 @@ class Session {
   vl::TimeSeriesRecorder& recorder() { return recorder_; }
   vl::BudgetRegistry& budgets() { return budgets_; }
   // Emoji registry backing lint / vchat for this session.
-  viewcl::EmojiRegistry& emoji();
+  viewcl::EmojiRegistry& emoji() { return emoji_; }
 
   // Virtual nanoseconds this session was actually charged (deduped refreshes
   // charge nothing — that is the point).
@@ -172,7 +172,6 @@ class Session {
   friend class Server;
 
   Session(Server* server, internal::Shard* shard, SessionOptions options, int id);
-  viewcl::Interpreter* classic_engine();
 
   Server* server_;
   internal::Shard* shard_;
@@ -183,9 +182,7 @@ class Session {
   vl::TimeSeriesRecorder recorder_;
   vl::BudgetRegistry budgets_;
   vision::PaneManager panes_;
-  // Private interpreter for classic (non-shared-engine) sessions; also backs
-  // emoji() lazily for shared-engine sessions.
-  std::unique_ptr<viewcl::Interpreter> classic_engine_;
+  viewcl::EmojiRegistry emoji_;
   // Engine warnings from the most recent replot through this session.
   std::vector<std::string> last_warnings_;
   // Memo replays observed by the most recent replot (guarded by the shard
@@ -248,9 +245,10 @@ class Server {
   vkern::Workload* shard_workload(const std::string& name) const;  // BootShard shards only
 
   // Connects a new session; SessionOptions::shard picks the shard ("" =
-  // round-robin). The shard's ReadSession must agree with the session's cache
-  // config: a mismatch reconfigures the shard only while it has no other
-  // sessions, else Connect fails with FAILED_PRECONDITION.
+  // round-robin). The shard's ReadSession must run
+  // dbg::CacheConfig::Incremental() at the session's capacity_blocks: a
+  // mismatch reconfigures the shard only while it has no other sessions, else
+  // Connect fails with FAILED_PRECONDITION.
   vl::StatusOr<Client> Connect(SessionOptions options = SessionOptions{});
 
   // --- scheduler control ---
@@ -266,10 +264,9 @@ class Server {
   // Aggregate + per-shard + per-session stats (the `vctrl stats` "serve"
   // section and the Prometheus export's source of truth).
   vl::Json StatsToJson() const;
-  // The compiled extraction plan behind `program` as served to `session`
-  // (shared shard engine, or the session's classic engine): DAG dump plus the
-  // last execution's batch stats (`vctrl plan`). Null JSON when no engine has
-  // run the program with plans enabled.
+  // The compiled extraction plan behind `program` in `session`'s shard
+  // engine: DAG dump plus the last execution's batch stats (`vctrl plan`).
+  // Null JSON when no engine has run the program.
   vl::Json PlanJson(Session* session, const std::string& program);
   // Publishes serve.shard.* / serve.session.* / serve.flights.* gauges to the
   // global MetricsRegistry (not thread-safe — call from the control plane,

@@ -1,6 +1,5 @@
 #include "src/serve/shell.h"
 
-#include <cassert>
 #include <fstream>
 
 #include "src/analysis/lint.h"
@@ -27,20 +26,6 @@ std::pair<std::string, std::string> SplitFirst(std::string_view text) {
 }  // namespace
 
 DebuggerShell::DebuggerShell(Session* session) : session_(session) {}
-
-DebuggerShell::DebuggerShell(dbg::KernelDebugger* debugger)
-    : owned_server_(std::make_unique<Server>()) {
-  vl::Status added = owned_server_->AddShard("local", debugger);
-  assert(added.ok());
-  (void)added;
-  // Adopt the debugger's existing cache config (classic engine, no dedup) so
-  // the shim changes nothing about single-user behavior.
-  auto client =
-      owned_server_->Connect(SessionOptions::FromCacheConfig(debugger->session().config()));
-  assert(client.ok());
-  owned_client_.emplace(std::move(client).value());
-  session_ = owned_client_->session();
-}
 
 std::string DebuggerShell::Execute(const std::string& line) {
   auto [command, args] = SplitFirst(line);
@@ -551,8 +536,7 @@ std::string DebuggerShell::CmdPlan(const std::string& args) {
   vl::Json plan = session_->server()->PlanJson(session_, program);
   if (plan.is_null()) {
     return vl::StrFormat(
-        "pane %d: no extraction plan (plans disabled for this session, or the "
-        "program has not run yet)\n",
+        "pane %d: no extraction plan (the program has not run yet)\n",
         static_cast<int>(pane_id));
   }
   if (vl::StrTrim(mode) == "json") {
@@ -560,7 +544,7 @@ std::string DebuggerShell::CmdPlan(const std::string& args) {
   }
   if (!plan["blocked"].is_null() && plan["blocked"].AsBool()) {
     return vl::StrFormat(
-        "pane %d: plan blocked (linter diagnosed the program; classic "
+        "pane %d: plan blocked (linter diagnosed the program; pure "
         "interpretation path)\n",
         static_cast<int>(pane_id));
   }

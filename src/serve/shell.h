@@ -2,17 +2,13 @@
 // commands a developer invokes at a breakpoint. This is the programmatic core
 // behind the interactive example binary and the shell tests.
 //
-// As of the vserve redesign the shell is a thin front end over a
-// vserve::Session — every plot/refresh goes through the serving layer, so
-// single-user mode is literally a one-session server. Construct it on a
-// Session from Server::Connect; the legacy KernelDebugger constructor remains
-// as a deprecated compat shim that spins up a private inline server.
+// The shell is a thin front end over a vserve::Session — every plot/refresh
+// goes through the serving layer, so single-user mode is literally a
+// one-session server. Construct it on a Session from Server::Connect.
 
 #ifndef SRC_SERVE_SHELL_H_
 #define SRC_SERVE_SHELL_H_
 
-#include <memory>
-#include <optional>
 #include <string>
 
 #include "src/dbg/kernel_introspect.h"
@@ -26,16 +22,9 @@ namespace vserve {
 
 class DebuggerShell {
  public:
-  // The vserve-native entry point: drive an existing session (borrowed; the
-  // owning Client must outlive the shell).
+  // Drives an existing session (borrowed; the owning Client must outlive the
+  // shell).
   explicit DebuggerShell(Session* session);
-
-  // DEPRECATED: pre-vserve compatibility. Wraps `debugger` in a private
-  // inline single-shard Server and connects one classic session to it
-  // (SessionOptions::FromCacheConfig — the debugger's cache config is
-  // adopted, never reconfigured). New code should Connect to a Server and
-  // use DebuggerShell(Session*).
-  explicit DebuggerShell(dbg::KernelDebugger* debugger);
 
   // Executes one command line and returns its textual output. Commands:
   //   vplot <pane> <viewcl program...>      extract a graph into a pane
@@ -98,23 +87,10 @@ class DebuggerShell {
 
   dbg::KernelDebugger* dbg() const { return session_->debugger(); }
 
-  // Compat-constructor plumbing (unused when attached to a caller's session).
-  // Declaration order matters: the client (and its Session) must be torn
-  // down before the server it is connected to.
-  std::unique_ptr<Server> owned_server_;
-  std::optional<Client> owned_client_;
-
-  Session* session_;  // borrowed, or owned_client_'s session
+  Session* session_;  // borrowed
   vision::VchatSynthesizer vchat_;
 };
 
 }  // namespace vserve
-
-namespace vision {
-// Transitional alias: DebuggerShell moved into the vserve serving layer.
-// Existing vision::DebuggerShell users keep compiling; new code should name
-// vserve::DebuggerShell directly.
-using DebuggerShell = ::vserve::DebuggerShell;
-}  // namespace vision
 
 #endif  // SRC_SERVE_SHELL_H_

@@ -722,8 +722,7 @@ class Interpreter::RunState {
   // Memoization engages only when the session's dirty log can prove a
   // snapshot is still valid; default sessions keep exact classic behavior.
   bool MemoEnabled() const {
-    return in_->limits_.memoize_boxes && in_->limits_.intern_boxes &&
-           dbg_->session().delta_enabled();
+    return in_->limits_.intern_boxes && dbg_->session().delta_enabled();
   }
 
   vl::StatusOr<VclValue> InstantiateBox(const BoxDecl* decl, Value object, Scope* lexical,

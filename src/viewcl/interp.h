@@ -30,20 +30,17 @@ struct InterpLimits {
   int max_depth = 128;
   // Interning deduplicates (declaration, address) pairs; disabling it (the
   // bench_ablation experiment) makes shared/cyclic structures blow up until
-  // the depth/box limits bite.
+  // the depth/box limits bite. With interning on, per-box extraction is
+  // memoized across Run() calls whenever the debugger's ReadSession runs
+  // dirty-log delta invalidation (its page epochs prove a memo still valid),
+  // replaying structurally unchanged subtrees without re-walking them.
   bool intern_boxes = true;
-  // Memoizes per-box extraction across Run() calls, replaying structurally
-  // unchanged subtrees without re-walking them. Only engages when the
-  // debugger's ReadSession runs dirty-log delta invalidation (the page
-  // epochs that prove a memo is still valid come from there), so default
-  // sessions keep their exact classic behavior. Requires intern_boxes.
-  bool memoize_boxes = true;
   // Compiles the loaded program into an extraction plan and executes it as a
   // batched prefetch pass before each interpretation (docs/caching.md
   // #extraction-plans). Off by default at this layer so embedders with exact
-  // read-count expectations opt in; the serving layer defaults it on
-  // (SessionOptions::compile_plans). Only engages when the session's block
-  // cache is enabled — without a cache the prefetch would double-charge.
+  // read-count expectations opt in; every vserve shard engine turns it on.
+  // Only engages when the session's block cache is enabled — without a cache
+  // the prefetch would double-charge.
   bool compile_plans = false;
   // Wavefront decode parallelism for the plan executor (see PlanExecOptions).
   int plan_workers = 4;

@@ -406,16 +406,13 @@ std::string PaneManager::RenderPane(int pane_id, const RenderOptions& options,
     g->roots() = pane->subset;
   }
   uint64_t digest = g->Digest();
-  auto cached = render_cache_enabled_ ? pane->render_cache.find(cache_key)
-                                      : pane->render_cache.end();
+  auto cached = pane->render_cache.find(cache_key);
   if (cached != pane->render_cache.end() && cached->second.first == digest) {
     out = cached->second.second;
     reused = true;
   } else {
     out = renderer->Render(*g);
-    if (render_cache_enabled_) {
-      pane->render_cache[cache_key] = {digest, out};
-    }
+    pane->render_cache[cache_key] = {digest, out};
   }
   if (pane->secondary) {
     g->roots() = saved;

@@ -118,11 +118,6 @@ class PaneManager {
   // How many RenderPane calls were served from the digest cache vs rendered.
   uint64_t render_digest_hits() const { return render_digest_hits_; }
   uint64_t render_digest_misses() const { return render_digest_misses_; }
-  // Master switch for the digest cache (vserve::SessionOptions::render_cache
-  // consolidates this with the extraction-cache config). Disabling re-renders
-  // every call; existing cached entries are kept but not consulted.
-  void set_render_cache_enabled(bool on) { render_cache_enabled_ = on; }
-  bool render_cache_enabled() const { return render_cache_enabled_; }
   // ASCII sketch of the split layout.
   std::string LayoutAscii() const;
 
@@ -171,7 +166,6 @@ class PaneManager {
   std::vector<int> pane_order_;
   std::unique_ptr<LayoutNode> layout_;
   int next_pane_id_ = 1;
-  bool render_cache_enabled_ = true;
   uint64_t render_digest_hits_ = 0;
   uint64_t render_digest_misses_ = 0;
 };

@@ -314,7 +314,7 @@ TEST(DeltaInvalidationTest, AllPagesDirtyFallsBackToFullFlush) {
   uint64_t reads = target.reads();
   memory.MutateAllPages();
 
-  // Dirty ratio 1.0 > max_dirty_ratio: one flush, not 16 pages of block
+  // Dirty ratio 1.0 > 0.5: one flush, not 16 pages of block
   // refresh — and the legacy `invalidations` counter keeps its meaning.
   session.SyncEpoch();
   EXPECT_EQ(session.cache_stats().invalidations, 1u);

@@ -301,7 +301,7 @@ TEST_F(PlanTest, ReadVectorChargesOneBatch) {
 }
 
 // The serving surfaces: `vctrl plan <pane>` dumps the compiled plan behind a
-// pane (serving sessions default to compile_plans), `vctrl stats` grows a
+// pane (every served shard engine compiles plans), `vctrl stats` grows a
 // plan: section, the merged stats JSON carries the counter family, and
 // `vctrl export prom` publishes the vl_plan_* gauges.
 TEST_F(PlanTest, ShellExposesPlanSurfaces) {

@@ -18,9 +18,12 @@
 #include "src/serve/shell.h"
 #include "src/support/metrics.h"
 #include "src/support/str.h"
+#include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
+#include "src/vision/render.h"
 #include "src/vkern/kernel.h"
 #include "src/vkern/workload.h"
+#include "tests/test_util.h"
 
 namespace vserve {
 namespace {
@@ -39,17 +42,9 @@ TEST(SessionOptionsTest, DefaultsValidateClean) {
 
 TEST(SessionOptionsTest, FailFastDiagnosticsCarryRuleIds) {
   SessionOptions options;
-  options.block_bytes = 0;  // VS001: incremental needs a block cache
-  EXPECT_GT(options.Validate().errors(), 0);
-  EXPECT_NE(options.ValidationText().find("VS001"), std::string::npos);
-
-  options = SessionOptions{};
   options.capacity_blocks = 0;  // VS002
-  EXPECT_NE(options.ValidationText().find("VS002"), std::string::npos);
-
-  options = SessionOptions{};
-  options.max_dirty_ratio = 1.5;  // VS003
-  EXPECT_NE(options.ValidationText().find("VS003"), std::string::npos);
+  EXPECT_GT(options.Validate().errors(), 0);
+  EXPECT_NE(options.ValidationText().find("error[VS002]"), std::string::npos);
 
   options = SessionOptions{};
   options.max_queued = 0;  // VS004
@@ -59,25 +54,41 @@ TEST(SessionOptionsTest, FailFastDiagnosticsCarryRuleIds) {
   options.shard = "bad shard";  // VS005
   EXPECT_NE(options.ValidationText().find("VS005"), std::string::npos);
 
-  // VS006 is a warning: still zero errors, so the session is admissible.
-  options = SessionOptions{};
-  options.block_bytes = 300;
-  EXPECT_EQ(options.Validate().errors(), 0);
+  // Every error is reported, sorted by rule ID; Connect refuses the session.
+  options.capacity_blocks = 0;
+  options.max_queued = 0;
+  EXPECT_EQ(options.Validate().errors(), 3);
+  std::string text = options.ValidationText();
+  EXPECT_LT(text.find("VS002"), text.find("VS004"));
+  EXPECT_LT(text.find("VS004"), text.find("VS005"));
+  Server server;
+  ASSERT_TRUE(server.BootShard("k0").ok());
+  auto refused = server.Connect(options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), vl::StatusCode::kInvalidArgument);
 }
 
-TEST(SessionOptionsTest, CacheConfigRoundTrip) {
-  dbg::CacheConfig config;
-  config.block_bytes = 512;
-  config.capacity_blocks = 64;
-  config.delta_invalidation = true;
-  config.max_dirty_ratio = 0.25;
-  SessionOptions options = SessionOptions::FromCacheConfig(config);
-  EXPECT_TRUE(SameCacheConfig(options.ToCacheConfig(), config));
-  // The compat conversion preserves classic single-user semantics.
-  EXPECT_FALSE(options.shared_engines);
-  EXPECT_FALSE(options.coalesce);
-  EXPECT_TRUE(SameCacheConfig(SessionOptions::Classic().ToCacheConfig(),
-                              dbg::CacheConfig{}));
+TEST(SessionOptionsTest, ShardRunsIncrementalCacheAtSessionCapacity) {
+  vkern::Kernel kernel;
+  dbg::KernelDebugger debugger(&kernel);  // a bare debugger: classic full flush
+  ASSERT_FALSE(debugger.session().config() == dbg::CacheConfig::Incremental());
+  Server server;
+  ASSERT_TRUE(server.AddShard("k0", &debugger).ok());
+  SessionOptions options;
+  options.capacity_blocks = 64;
+  auto client = server.Connect(options);
+  ASSERT_TRUE(client.ok());
+
+  // Connect put the shard on the one serving config, at the asked capacity.
+  dbg::CacheConfig want = dbg::CacheConfig::Incremental();
+  want.capacity_blocks = 64;
+  EXPECT_TRUE(debugger.session().config() == want);
+  EXPECT_TRUE(debugger.session().delta_enabled());
+  // operator== compares every field.
+  want.block_bytes = 512;
+  EXPECT_FALSE(debugger.session().config() == want);
+  EXPECT_TRUE(dbg::CacheConfig::Disabled() == dbg::CacheConfig::Disabled());
+  EXPECT_FALSE(dbg::CacheConfig{} == dbg::CacheConfig::Incremental());
 }
 
 // ---------------------------------------------------------------------------
@@ -168,6 +179,22 @@ TEST_F(ServeTest, PerSessionViewIsolation) {
   EXPECT_FALSE(refined->deduped);
 }
 
+// The same deterministic kernel as BootShard's: the standard 60-step workload.
+struct StandardKernel {
+  StandardKernel() : workload(&kernel, Config()) { workload.Run(); }
+  static vkern::WorkloadConfig Config() {
+    vkern::WorkloadConfig config;
+    config.steps = 60;
+    return config;
+  }
+
+  vkern::Kernel kernel;
+  vkern::Workload workload;
+};
+
+// Regression: a shell refresh must re-run the pane's program, not append a
+// second `plot` section to it. After `vctrl refresh` the shell's view equals a
+// served Refresh and a plain interpreter on an uncached debugger.
 TEST_F(ServeTest, RendersByteIdenticalToSingleSessionMode) {
   // Serving path: a session on a booted shard.
   Server server;
@@ -178,23 +205,31 @@ TEST_F(ServeTest, RendersByteIdenticalToSingleSessionMode) {
   auto served = (*client)->Refresh(1);
   ASSERT_TRUE(served.ok());
 
-  // Classic path: the same deterministic kernel driven by the pre-vserve
-  // shell (compat constructor = one-session server, classic options).
-  vkern::Kernel kernel;
-  vkern::WorkloadConfig config;
-  config.steps = 60;
-  vkern::Workload workload(&kernel, config);
-  workload.Run();
-  dbg::KernelDebugger debugger(&kernel);
-  vision::RegisterFigureSymbols(&debugger, &workload);
-  DebuggerShell shell(&debugger);
-  shell.Execute(std::string("vplot 1 ") + Fig("fig3_4"));
+  // Single-session mode: a shell over its own kernel. The reference debugger
+  // is attached first, because attaching writes the kernel arena.
+  StandardKernel local;
+  dbg::KernelDebugger oracle(&local.kernel, dbg::LatencyModel::Free(),
+                             dbg::CacheConfig::Disabled());
+  vision::RegisterFigureSymbols(&oracle, &local.workload);
+  dbg::KernelDebugger debugger(&local.kernel);
+  vision::RegisterFigureSymbols(&debugger, &local.workload);
+  vltest::ServedShell shell(&debugger);
+  ASSERT_NE(shell.Execute(std::string("vplot 1 ") + Fig("fig3_4")).find("plotted"),
+            std::string::npos);
+  ASSERT_NE(shell.Execute("vctrl refresh 1").find("refreshed pane 1"), std::string::npos);
+  std::string view = shell.Execute("vctrl view 1");
 
-  // Note: no classic `vctrl refresh` here — the classic engine re-loads and
-  // accumulates the program per replot (a second `plot` section), which is
-  // preserved compat behavior, not the canonical figure bytes.
-  EXPECT_EQ(served->render, shell.Execute("vctrl view 1"));
-  // And a serve refresh is idempotent on an unchanged kernel.
+  // Reference: one plain interpreter run, no cache, no serving layer.
+  viewcl::Interpreter interp(&oracle);
+  auto graph = interp.RunProgram(Fig("fig3_4"));
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  std::string expected = vision::AsciiRenderer().Render(**graph);
+
+  EXPECT_EQ(view, expected);
+  EXPECT_EQ(served->render, expected);
+  // Further refreshes keep the bytes: in the shell, and on the served session.
+  ASSERT_NE(shell.Execute("vctrl refresh 1").find("refreshed pane 1"), std::string::npos);
+  EXPECT_EQ(shell.Execute("vctrl view 1"), expected);
   auto again = (*client)->Refresh(1);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->render, served->render);
@@ -203,16 +238,14 @@ TEST_F(ServeTest, RendersByteIdenticalToSingleSessionMode) {
 TEST_F(ServeTest, AdmissionRejectsSessionOverBudget) {
   Server server;
   Boot(server);
-  // No block cache: every refresh pays raw transport costs, so the first
-  // refresh is guaranteed to charge > 0 virtual ns.
   SessionOptions options;
-  options.block_bytes = 0;
-  options.capacity_blocks = 0;
-  options.incremental = false;
   options.session_budget_ns = 1;
   auto client = server.Connect(options);
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE((*client)->Plot(1, Fig("fig3_4")).ok());
+  // Step the kernel so the first refresh re-reads dirty pages and is
+  // guaranteed to charge > 0 virtual ns.
+  server.shard_workload("k0")->Step();
 
   auto first = (*client)->Refresh(1);
   ASSERT_TRUE(first.ok());
@@ -259,7 +292,7 @@ TEST_F(ServeTest, ConnectRefusesCacheConfigConflictWhileOccupied) {
   Server server;
   Boot(server, "k0", dbg::LatencyModel::Free());
   SessionOptions big;
-  big.block_bytes = 512;
+  big.capacity_blocks = 8192;
   {
     auto first = server.Connect();  // adopts the default incremental config
     ASSERT_TRUE(first.ok());
@@ -342,25 +375,23 @@ TEST_F(ServeTest, WorkerPoolServesConcurrentClients) {
   EXPECT_EQ(executed, 1u);
 }
 
-TEST_F(ServeTest, CompatShellIsOneSessionServer) {
-  vkern::Kernel kernel;
-  vkern::WorkloadConfig config;
-  config.steps = 60;
-  vkern::Workload workload(&kernel, config);
-  workload.Run();
-  dbg::KernelDebugger debugger(&kernel);
-  vision::RegisterFigureSymbols(&debugger, &workload);
+TEST_F(ServeTest, ShellIsOneSessionServer) {
+  StandardKernel local;
+  dbg::KernelDebugger debugger(&local.kernel);
+  vision::RegisterFigureSymbols(&debugger, &local.workload);
 
-  DebuggerShell shell(&debugger);
+  vltest::ServedShell shell(&debugger);
   EXPECT_EQ(shell.session().shard_name(), "local");
-  // Classic options: the shim must never reconfigure the caller's debugger.
-  EXPECT_FALSE(shell.session().options().coalesce);
+  EXPECT_EQ(shell.session().server()->session_count(), 1u);
 
   std::string out = shell.Execute(std::string("vplot 1 ") + Fig("fig3_4"));
   EXPECT_NE(out.find("plotted"), std::string::npos);
   out = shell.Execute("vctrl refresh 1");
   EXPECT_NE(out.find("refreshed pane 1"), std::string::npos);
   EXPECT_EQ(out.find("(deduped)"), std::string::npos);
+  // Same figure, same epoch: the second refresh is served from the result
+  // cache.
+  EXPECT_NE(shell.Execute("vctrl refresh 1").find("(deduped)"), std::string::npos);
   // The merged stats report now carries the serve section.
   EXPECT_NE(shell.Execute("vctrl stats").find("serve: session"), std::string::npos);
   EXPECT_NE(shell.Execute("vctrl stats json").find("\"serve\""), std::string::npos);
